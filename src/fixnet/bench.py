@@ -77,18 +77,16 @@ def _load_params(args) -> gits.Params:
         params = gits.params_from_config(Path(args.config).read_text(), base=params)
     if getattr(args, "param", None):
         params = gits.apply_overrides(params, args.param)
-    if getattr(args, "seed", None) is not None:
-        params = replace(params, rng_seed=args.seed)
     if getattr(args, "time_limit", None) is not None:
         params = replace(params, TimeLimit=args.time_limit)
     return params
 
 
 def _fc_span(problem: NetworkProblem):
-    charged = [a.fixed for a in problem.arcs if a.fixed > 0]
-    if not charged:
+    charged = problem.fixed[problem.fixed > 0]
+    if not charged.size:
         return 0, 0
-    return min(charged), max(charged)
+    return int(charged.min()), int(charged.max())
 
 
 def _format_row(rec: dict) -> list:
@@ -98,12 +96,7 @@ def _format_row(rec: dict) -> list:
         if val is None:
             val = ""
         if isinstance(val, float):
-            if col == "time_sec":
-                val = f"{val:.3f}"
-            elif col == "z_ratio":
-                val = f"{val:.6f}"
-            else:
-                val = f"{val:.3f}"
+            val = f"{val:.6f}" if col == "z_ratio" else f"{val:.3f}"
         out.append(val)
     return out
 
@@ -123,8 +116,8 @@ def _write_csv(rows, output):
 
 def _write_solution(path, problem: NetworkProblem, flows, value) -> None:
     lines = [f"s {value}"]
-    for a, x in zip(problem.arcs, flows):
-        lines.append(f"f {a.tail + 1} {a.head + 1} {int(x)}")
+    for t, h, x in zip(problem.tail.tolist(), problem.head.tolist(), flows):
+        lines.append(f"f {t + 1} {h + 1} {int(x)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -266,7 +259,7 @@ def _bench_one(path_str: str, params: gits.Params, use_oracle: bool, fc_limit: i
         return {"instance": name, "nodes": problem.node_count, "arcs": problem.arc_count}, \
             f"{name}: infeasible ({exc})"
     if use_oracle:
-        fc_arcs = int(sum(1 for a in problem.arcs if a.fixed > 0))
+        fc_arcs = int((problem.fixed > 0).sum())
         if fc_arcs <= fc_limit:
             opt = oracle.brute_force_opt(problem, max_fc_arcs=fc_limit)
             rec["oracle_z"] = opt.optimum
@@ -339,7 +332,6 @@ def cmd_oracle(args) -> int:
 
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="64-bit run seed")
     parser.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                         help="override a Params field (repeatable)")
     parser.add_argument("--config", default=None, help="key=value parameter file")

@@ -45,7 +45,6 @@ class Params:
     ZeroRefresh: int = 30
     DoTabu: bool = True
     epsilon: float = 1e-6
-    rng_seed: int = 0
     MaxOutsideIter: Optional[int] = None
     TimeLimit: Optional[float] = None
     diversify_use_capacity: bool = False
@@ -168,16 +167,8 @@ class SearchMemory:
     pass_num: int = 0
     no_luck: int = 0
     n_match: int = 0
-    recover: int = 0
-    max_recover: int = 0
-    s_max: int = 0
-    best_iter: int = 0
-    best_iter_g: int = 0
     gbest_iter: int = 0
     best_pass: int = 0
-    ts_improve: int = 0
-    all_ts_improve: int = 0
-    descent_improve: int = 0
     last_inside_improve: int = 0
     tenure: int = 0
     aspire: int = 0
@@ -259,10 +250,10 @@ class GhostImageSearch:
         self.params = params if params is not None else Params()
         m = problem.arc_count
         self.m = m
-        self.c = np.array([a.cost for a in problem.arcs], dtype=np.int64)
+        self.c = problem.cost
         self.c_float = self.c.astype(np.float64)
-        self.F = np.array([a.fixed for a in problem.arcs], dtype=np.int64)
-        self.U = np.array([a.capacity for a in problem.arcs], dtype=np.int64)
+        self.F = problem.fixed
+        self.U = problem.cap
         self.fc_mask = self.F > 0
         self.fc_idx = np.nonzero(self.fc_mask)[0]
         self.state: Optional[netcore.SimplexState] = None
@@ -367,9 +358,6 @@ class GhostImageSearch:
     def inside_loop(self) -> None:
         prm, mem, state = self.params, self.mem, self.state
         mem.inside_iter = 0
-        mem.best_iter = 0
-        mem.ts_improve = 0
-        mem.descent_improve = 0
         mem.last_inside_improve = 0
         mem.descent = True
         mem.improve = False
@@ -392,7 +380,9 @@ class GhostImageSearch:
                 pos = sel[int(np.argmin(xoj[sel]))]
                 jstar = int(cand[pos])
                 ev = netcore.evaluate_fc_entering(state, self.problem, jstar)
-                assert ev.objective_delta == xoj[pos]
+                if ev.objective_delta != xoj[pos]:
+                    raise netcore.SimplexStalled(
+                        f"arc {jstar}: sweep delta {xoj[pos]} != pivot delta {ev.objective_delta}")
                 if self.collect_trace:
                     self.move_log.append(
                         (
@@ -431,14 +421,12 @@ class GhostImageSearch:
             if ev.objective_delta < 0:
                 self.pivot_jstar(ev)
                 mem.aspire = min(self.xstar_val, self.xdd_val)
-                mem.descent_improve += 1
             else:
                 mem.descent = False
                 mem.tenure = prm.AscentTenure
                 if self.xdd_val < self.xstar_val:
                     mem.improve = True
-                    mem.best_iter = mem.last_inside_improve = mem.inside_iter - 1
-                    mem.best_iter_g = mem.jiter
+                    mem.last_inside_improve = mem.inside_iter - 1
                     self.xstar_val = self.xdd_val
                     self.xstar = self.state.real_flows()
                     self._v_update()
@@ -452,12 +440,9 @@ class GhostImageSearch:
                 mem.tenure = prm.DescentTenure
                 if self.xdd_val < self.xstar_val:
                     mem.improve = True
-                    mem.best_iter = mem.last_inside_improve = mem.inside_iter
-                    mem.best_iter_g = mem.jiter
+                    mem.last_inside_improve = mem.inside_iter
                     self.xstar_val = self.xdd_val
                     self.xstar = self.state.real_flows()
-                    mem.ts_improve += 1
-                    mem.all_ts_improve += 1
                     mem.aspire = self.xstar_val
                     self._v_update()
             else:
@@ -483,24 +468,13 @@ class GhostImageSearch:
         Returns whether a duplicate was found.
         """
         prm, mem = self.params, self.mem
-        s = mem.first
-        match_pos = 0
-        for chk in range(1, prm.sLim + 1):
-            if np.array_equal(mem.ring[s], mem.zero_now):
-                match_pos = chk
-                break
-            s = (s + 1) % prm.sLim
-        if match_pos:
+        if np.any(np.all(mem.ring == mem.zero_now, axis=1)):
             mem.n_match += 1
             if mem.n_match > prm.LimMatch:
-                mem.s_max = max(mem.s_max, match_pos)
                 self.diversify()
                 mem.n_match = 0
             return True
-        if mem.n_match > 0:
-            mem.recover += 1
-            mem.max_recover = max(mem.recover, mem.max_recover)
-            mem.n_match = 0
+        mem.n_match = 0
         mem.sum_zero += mem.zero_now
         last = (mem.first - 1) % prm.sLim
         mem.ring[last] = mem.zero_now

@@ -1,16 +1,18 @@
 """Fixed-charge network model and a warm-startable primal network simplex.
 
-Flows, supplies and capacities are 64-bit integers; working costs are floats
-so that penalized cost vectors can be non-integral. The spanning-tree basis
-keeps strong feasibility (every degenerate tree arc points toward the root),
-which together with the last-blocking leaving rule makes every solve finite.
-With integer arc costs all pivot-delta arithmetic is exact.
+An instance is a set of read-only int64 arrays: supplies per node, and tail,
+head, unit cost, fixed charge and capacity per arc. Flows are 64-bit integers
+too; working costs are floats so that penalized cost vectors can be
+non-integral. The spanning-tree basis keeps strong feasibility (every
+degenerate tree arc points toward the root), which together with the
+last-blocking leaving rule makes every solve finite. Instance costs are
+integers, so all pivot-delta arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +23,8 @@ AT_UPPER = 2
 BIGM_CAP = 10**12
 BIGM_FLOOR = 1000
 PRICE_TOL = 1e-7
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class FixnetError(Exception):
@@ -55,8 +59,7 @@ class SimplexStalled(FixnetError):
     """Internal invariant breach; never expected on valid input."""
 
 
-@dataclass(frozen=True)
-class ArcData:
+class ArcData(NamedTuple):
     """Directed arc: unit cost, fixed charge paid when flow is positive, capacity."""
 
     tail: int
@@ -66,84 +69,157 @@ class ArcData:
     capacity: int
 
 
-@dataclass(frozen=True)
-class NetworkProblem:
-    """Pure network with per-node supplies (positive = source) and fixed-charge arcs."""
+def _int64_column(values, name: str, owner: str, error) -> np.ndarray:
+    """Read-only int64 copy of a one-dimensional column; raises `error` naming
+    the first entry that is not an integer inside the int64 range."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise error(f"{name} must be a one-dimensional sequence")
+    kind = arr.dtype.kind
+    if kind == "f":
+        ok = np.isfinite(arr) & (arr == np.floor(arr)) & (np.abs(arr) < 2.0**63)
+    elif kind == "u":
+        ok = arr <= _INT64_MAX
+    else:  # objects (Python ints beyond 64 bits), strings and the like fail
+        ok = np.full(arr.shape, kind in "bi")
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
+        raise error(f"{owner} {j}: {name} {arr[j]} is not an integer in the int64 range")
+    out = arr.astype(np.int64)
+    out.flags.writeable = False
+    return out
 
-    node_count: int
-    supply: tuple
-    arcs: tuple
+
+# NetworkProblem columns: field, what it is indexed by, error raised for
+# entries that are not integers inside the int64 range.
+_COLUMNS = (
+    ("supply", "node", ValueError),
+    ("tail", "arc", BadArcEndpoint),
+    ("head", "arc", BadArcEndpoint),
+    ("cost", "arc", NegativeCapacityOrCharge),
+    ("fixed", "arc", NegativeCapacityOrCharge),
+    ("cap", "arc", NegativeCapacityOrCharge),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkProblem:
+    """Pure network with per-node supplies (positive = source) and fixed-charge
+    arcs, held as read-only int64 arrays. Construction converts and checks
+    every column; `validate` checks the network invariants on top."""
+
+    supply: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    cost: np.ndarray
+    fixed: np.ndarray
+    cap: np.ndarray
+
+    def __post_init__(self):
+        for name, owner, error in _COLUMNS:
+            object.__setattr__(self, name, _int64_column(getattr(self, name), name, owner, error))
+        if len({getattr(self, name).size for name, _, _ in _COLUMNS[1:]}) > 1:
+            raise ValueError("arc columns differ in length")
+
+    @property
+    def node_count(self) -> int:
+        return self.supply.size
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return self.tail.size
 
-    def fc_indices(self) -> np.ndarray:
-        """Indices of arcs with an effective fixed charge."""
-        return np.nonzero(np.array([a.fixed for a in self.arcs], dtype=np.int64) > 0)[0]
+    @property
+    def arcs(self) -> Tuple[ArcData, ...]:
+        """Per-arc records, built on each access; the arrays are the model."""
+        return tuple(map(ArcData._make, zip(self.tail.tolist(), self.head.tolist(),
+                                            self.cost.tolist(), self.fixed.tolist(),
+                                            self.cap.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, NetworkProblem):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name, _, _ in _COLUMNS)
+
+    __hash__ = None
 
 
 def make_problem(supply: Sequence[int], arcs: Sequence) -> NetworkProblem:
     """Build a NetworkProblem from a supply vector and (tail, head, cost, fixed, capacity) rows."""
-    rows = tuple(a if isinstance(a, ArcData) else ArcData(*a) for a in arcs)
-    return NetworkProblem(node_count=len(supply), supply=tuple(int(b) for b in supply), arcs=rows)
+    return NetworkProblem(supply, *(tuple(zip(*arcs)) or ((),) * 5))
 
 
 def validate(problem: NetworkProblem) -> NetworkProblem:
     """Check model invariants; returns the problem unchanged when sound."""
     n = problem.node_count
-    if n < 1 or len(problem.supply) != n:
-        raise ValueError("supply vector must have one entry per node")
-    for b in problem.supply:
-        if not isinstance(b, (int, np.integer)):
-            raise ValueError("supplies must be integers")
-    if sum(problem.supply) != 0:
-        raise UnbalancedSupply(f"supplies sum to {sum(problem.supply)}, expected 0")
-    for idx, a in enumerate(problem.arcs):
-        if not (0 <= a.tail < n) or not (0 <= a.head < n) or a.tail == a.head:
-            raise BadArcEndpoint(f"arc {idx}: endpoints ({a.tail}, {a.head}) invalid")
-        if not isinstance(a.capacity, (int, np.integer)) or a.capacity < 0:
-            raise NegativeCapacityOrCharge(f"arc {idx}: capacity {a.capacity}")
-        if not isinstance(a.fixed, (int, np.integer)) or a.fixed < 0:
-            raise NegativeCapacityOrCharge(f"arc {idx}: fixed charge {a.fixed}")
-        if not np.isfinite(a.cost):
-            raise NegativeCapacityOrCharge(f"arc {idx}: cost must be finite")
+    if n < 1:
+        raise ValueError("an instance needs at least one node")
+    total = sum(problem.supply.tolist())
+    if total != 0:
+        raise UnbalancedSupply(f"supplies sum to {total}, expected 0")
+    if sum(problem.supply[problem.supply > 0].tolist()) > _INT64_MAX:
+        raise ValueError("total supply exceeds the int64 range")
+    t, h = problem.tail, problem.head
+    bad = np.flatnonzero((t < 0) | (t >= n) | (h < 0) | (h >= n) | (t == h))
+    if bad.size:
+        j = bad[0]
+        raise BadArcEndpoint(f"arc {j}: endpoints ({t[j]}, {h[j]}) invalid")
+    for what, col in (("capacity", problem.cap), ("fixed charge", problem.fixed)):
+        bad = np.flatnonzero(col < 0)
+        if bad.size:
+            raise NegativeCapacityOrCharge(f"arc {bad[0]}: {what} {col[bad[0]]}")
     return problem
 
 
 def default_bigm(problem: NetworkProblem) -> int:
     """Instance cost dominator: 2 * (sum |c_j| U_j + sum F_j), floored and capped."""
-    total = sum(abs(int(a.cost)) * int(a.capacity) + int(a.fixed) for a in problem.arcs)
+    total = sum(abs(c) * u for c, u in zip(problem.cost.tolist(), problem.cap.tolist()))
+    total += sum(problem.fixed.tolist())
     return int(min(max(2 * total, BIGM_FLOOR), BIGM_CAP))
 
 
-def fc_objective(problem: NetworkProblem, flows) -> int:
-    """Fixed-charge objective sum c_j x_j + sum {F_j : x_j > 0} of a feasible flow."""
+def check_flows(problem: NetworkProblem, flows) -> Tuple[List[str], Optional[int]]:
+    """Every breach of shape, integrality, arc bounds and node conservation by
+    a flow vector, plus its exact fixed-charge objective (None unless feasible).
+
+    Non-finite entries count as non-integral. Bounds are tested before any
+    cast to int64; conservation is tested once every entry is known to have
+    an int64 value.
+    """
     m = problem.arc_count
     x = np.asarray(flows)
     if x.shape != (m,):
-        raise InfeasibleFlows(f"flow vector has shape {x.shape}, expected ({m},)")
-    if not np.issubdtype(x.dtype, np.integer):
-        if not np.all(x == np.floor(x)):
-            raise InfeasibleFlows("flows must be integral")
-        x = x.astype(np.int64)
-    else:
-        x = x.astype(np.int64)
-    tails = np.array([a.tail for a in problem.arcs], dtype=np.int64)
-    heads = np.array([a.head for a in problem.arcs], dtype=np.int64)
-    caps = np.array([a.capacity for a in problem.arcs], dtype=np.int64)
-    if np.any(x < 0) or np.any(x > caps):
-        j = int(np.nonzero((x < 0) | (x > caps))[0][0])
-        raise InfeasibleFlows(f"arc {j}: flow {x[j]} outside [0, {caps[j]}]")
+        return [f"flow vector has shape {x.shape}, expected ({m},)"], None
+    violations = []
+    if x.dtype.kind not in "biu":
+        x = x.astype(np.float64, copy=False)
+        for j in np.flatnonzero(~(np.isfinite(x) & (x == np.floor(x)))):
+            kind = "fractional" if np.isfinite(x[j]) else "non-finite"
+            violations.append(f"arc {j}: {kind} flow {x[j]}")
+    for j in np.flatnonzero((x < 0) | (x > problem.cap)):
+        violations.append(f"arc {j}: flow {x[j]} outside [0, {problem.cap[j]}]")
+    if violations and x.dtype.kind not in "bi":
+        return violations, None
+    x = x.astype(np.int64, copy=False)
     net = np.zeros(problem.node_count, dtype=np.int64)
-    np.add.at(net, tails, x)
-    np.subtract.at(net, heads, x)
-    bal = np.array(problem.supply, dtype=np.int64)
-    if np.any(net != bal):
-        i = int(np.nonzero(net != bal)[0][0])
-        raise InfeasibleFlows(f"node {i}: net outflow {net[i]} != supply {bal[i]}")
-    value = sum(a.cost * int(x[j]) for j, a in enumerate(problem.arcs) if x[j])
-    value += sum(int(a.fixed) for j, a in enumerate(problem.arcs) if x[j] > 0)
+    np.add.at(net, problem.tail, x)
+    np.subtract.at(net, problem.head, x)
+    for i in np.flatnonzero(net != problem.supply):
+        violations.append(f"node {i}: net outflow {net[i]} != supply {problem.supply[i]}")
+    if violations:
+        return violations, None
+    used = np.flatnonzero(x)
+    value = sum(c * f for c, f in zip(problem.cost[used].tolist(), x[used].tolist()))
+    return violations, value + sum(problem.fixed[used].tolist())
+
+
+def fc_objective(problem: NetworkProblem, flows) -> int:
+    """Fixed-charge objective sum c_j x_j + sum {F_j : x_j > 0} of a feasible
+    flow; raises InfeasibleFlows with the first breach otherwise."""
+    violations, value = check_flows(problem, flows)
+    if violations:
+        raise InfeasibleFlows(violations[0])
     return value
 
 
@@ -181,50 +257,21 @@ class SimplexState:
         self.E = m + n
         self.bigm = default_bigm(problem)
 
-        arcs = problem.arcs
-        supply = np.array(problem.supply, dtype=np.int64)
-        total_pos = int(supply[supply > 0].sum())
-        art_cap = max(total_pos, 1)
+        supply = problem.supply
+        source = supply > 0
+        art_cap = max(int(supply[source].sum()), 1)
 
-        tail = np.empty(self.E, dtype=np.int64)
-        head = np.empty(self.E, dtype=np.int64)
-        cap = np.empty(self.E, dtype=np.int64)
-        fixed = np.zeros(self.E, dtype=np.int64)
-        flow = np.zeros(self.E, dtype=np.int64)
-        status = np.full(self.E, AT_LOWER, dtype=np.int8)
-
-        for j, a in enumerate(arcs):
-            tail[j] = a.tail
-            head[j] = a.head
-            cap[j] = a.capacity
-            fixed[j] = a.fixed
-        for i in range(n):
-            j = m + i
-            # Supply nodes point at the root, others away from it, so the
-            # initial all-artificial tree is strongly feasible.
-            if supply[i] > 0:
-                tail[j], head[j] = i, self.root
-                flow[j] = supply[i]
-            else:
-                tail[j], head[j] = self.root, i
-                flow[j] = -supply[i]
-            cap[j] = art_cap
-            status[j] = IN_TREE
-
-        costs_arr = [a.cost for a in arcs]
-        integral = all(isinstance(c, (int, np.integer)) for c in costs_arr)
-        cdtype = np.int64 if integral else np.float64
-        base_cost = np.zeros(self.E, dtype=cdtype)
-        base_cost[:m] = costs_arr
-        base_cost[m:] = self.bigm
-
-        self.tail = tail
-        self.head = head
-        self.cap = cap
-        self.fixed = fixed
-        self.flow = flow
-        self.status = status
-        self.base_cost = base_cost
+        # Artificial arcs: supply nodes point at the root, others away from
+        # it, so the initial all-artificial tree is strongly feasible.
+        nodes = np.arange(n, dtype=np.int64)
+        self.tail = np.concatenate([problem.tail, np.where(source, nodes, self.root)])
+        self.head = np.concatenate([problem.head, np.where(source, self.root, nodes)])
+        self.cap = np.concatenate([problem.cap, np.full(n, art_cap, dtype=np.int64)])
+        self.fixed = np.concatenate([problem.fixed, np.zeros(n, dtype=np.int64)])
+        self.flow = np.concatenate([np.zeros(m, dtype=np.int64), np.abs(supply)])
+        self.status = np.full(self.E, IN_TREE, dtype=np.int8)
+        self.status[:m] = AT_LOWER
+        self.base_cost = np.concatenate([problem.cost, np.full(n, self.bigm, dtype=np.int64)])
         self.work = np.empty(self.E, dtype=np.float64)
         self.work[m:] = float(self.bigm)
 
@@ -232,7 +279,7 @@ class SimplexState:
         self.pred_arc = np.full(n + 1, -1, dtype=np.int64)
         self.depth = np.zeros(n + 1, dtype=np.int64)
         self.pot_work = np.zeros(n + 1, dtype=np.float64)
-        self.pot_c = np.zeros(n + 1, dtype=cdtype)
+        self.pot_c = np.zeros(n + 1, dtype=np.int64)
         self.tree_adj = [[] for _ in range(n + 1)]
         for i in range(n):
             j = m + i

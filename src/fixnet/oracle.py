@@ -17,6 +17,7 @@ from .netcore import (
     FixnetError,
     Infeasible,
     NetworkProblem,
+    check_flows,
     fc_objective,
     reoptimize,
     solve_lp,
@@ -46,34 +47,8 @@ class SolutionReport:
 def check_solution(problem: NetworkProblem, flows) -> SolutionReport:
     """Verify conservation, bounds and integrality; recompute the objective
     from raw flows. Never raises; violations are reported by name."""
-    violations = []
-    m = problem.arc_count
-    x = np.asarray(flows)
-    if x.shape != (m,):
-        return SolutionReport(False, [f"flow vector has shape {x.shape}, expected ({m},)"])
-    if not np.issubdtype(x.dtype, np.integer):
-        if not np.all(x == np.floor(x)):
-            bad = int(np.nonzero(x != np.floor(x))[0][0])
-            violations.append(f"arc {bad}: fractional flow {x[bad]}")
-            return SolutionReport(False, violations)
-        x = x.astype(np.int64)
-    else:
-        x = x.astype(np.int64)
-    for j, a in enumerate(problem.arcs):
-        if x[j] < 0 or x[j] > a.capacity:
-            violations.append(f"arc {j}: flow {int(x[j])} outside [0, {a.capacity}]")
-    net = np.zeros(problem.node_count, dtype=np.int64)
-    for j, a in enumerate(problem.arcs):
-        net[a.tail] += x[j]
-        net[a.head] -= x[j]
-    for i, b in enumerate(problem.supply):
-        if net[i] != b:
-            violations.append(f"node {i}: net outflow {int(net[i])} != supply {b}")
-    if violations:
-        return SolutionReport(False, violations)
-    value = sum(a.cost * int(x[j]) for j, a in enumerate(problem.arcs))
-    value += sum(int(a.fixed) for j, a in enumerate(problem.arcs) if x[j] > 0)
-    return SolutionReport(True, [], value)
+    violations, value = check_flows(problem, flows)
+    return SolutionReport(not violations, violations, value)
 
 
 def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleResult:
@@ -88,10 +63,10 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
     minimum over all patterns is the exact optimum.
     """
     validate(problem)
-    fc = [j for j, a in enumerate(problem.arcs) if a.fixed > 0]
+    fc = np.flatnonzero(problem.fixed > 0).tolist()
     if len(fc) > max_fc_arcs:
         raise TooLarge(f"{len(fc)} charged arcs exceed the limit {max_fc_arcs}")
-    base = np.array([float(a.cost) for a in problem.arcs])
+    base = problem.cost.astype(np.float64)
     state = solve_lp(problem, base)
     bigm = float(state.bigm)
 

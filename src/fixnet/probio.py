@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .netcore import ArcData, FixnetError, NetworkProblem, validate
+from .netcore import FixnetError, NetworkProblem, make_problem, validate
 
 
 class FcnfSyntaxError(FixnetError, ValueError):
@@ -91,26 +91,26 @@ def parse_fcnf(text: str) -> NetworkProblem:
                 raise FcnfSyntaxError(ln, "arc fields must be integers") from None
             if lo != 0:
                 raise FcnfSyntaxError(ln, "lower bound must be 0")
-            arcs.append(ArcData(tail=t - 1, head=h - 1, cost=cost, fixed=fx, capacity=cap))
+            arcs.append((t - 1, h - 1, cost, fx, cap))
         else:
             raise FcnfSyntaxError(ln, f"unknown record type {kind!r}")
     if node_count is None:
         raise FcnfSyntaxError(last_line or 1, "missing problem line")
     if len(arcs) != arc_count:
         raise CountMismatch(last_line or 1, f"declared {arc_count} arcs, found {len(arcs)}")
-    supply = tuple(supplies.get(i, 0) for i in range(1, node_count + 1))
-    return validate(NetworkProblem(node_count=node_count, supply=supply, arcs=tuple(arcs)))
+    supply = [supplies.get(i, 0) for i in range(1, node_count + 1)]
+    return validate(make_problem(supply, arcs))
 
 
 def write_fcnf(problem: NetworkProblem, comments: Tuple[str, ...] = ()) -> str:
     """Byte-stable FCNF serialization; zero-supply node lines are omitted."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p fcnf {problem.node_count} {problem.arc_count}")
-    for i, b in enumerate(problem.supply, 1):
-        if b:
-            lines.append(f"n {i} {b}")
-    for a in problem.arcs:
-        lines.append(f"a {a.tail + 1} {a.head + 1} 0 {a.capacity} {a.cost} {a.fixed}")
+    for i in np.flatnonzero(problem.supply).tolist():
+        lines.append(f"n {i + 1} {problem.supply[i]}")
+    rows = zip(problem.tail.tolist(), problem.head.tolist(), problem.cap.tolist(),
+               problem.cost.tolist(), problem.fixed.tolist())
+    lines.extend(f"a {t + 1} {h + 1} 0 {u} {c} {f}" for t, h, u, c, f in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -216,16 +216,10 @@ def generate_fctp(spec: FctpSpec) -> NetworkProblem:
         caps = rng.integers(spec.cap_range[0], spec.cap_range[1] + 1, size=count)
     else:
         caps = np.minimum.outer(sup, dem).reshape(-1)
-    arcs = []
-    for i in range(m):
-        for k in range(n):
-            idx = i * n + k
-            arcs.append(
-                ArcData(tail=i, head=m + k, cost=int(costs[idx]), fixed=int(fixed[idx]),
-                        capacity=int(caps[idx]))
-            )
-    supply = tuple(int(s) for s in sup) + tuple(-int(d) for d in dem)
-    return validate(NetworkProblem(node_count=m + n, supply=supply, arcs=tuple(arcs)))
+    # Arc i * n + k runs from source i to sink k.
+    tail = np.repeat(np.arange(m), n)
+    head = m + np.tile(np.arange(n), m)
+    return validate(NetworkProblem(np.concatenate([sup, -dem]), tail, head, costs, fixed, caps))
 
 
 def generate_netgen_fc(spec: NetgenFcSpec) -> NetworkProblem:
@@ -340,27 +334,18 @@ def generate_netgen_fc(spec: NetgenFcSpec) -> NetworkProblem:
             if len(extra_codes) == extra_needed:
                 break
 
-    skel_items = list(skeleton.items())
-    skel_flow = np.array([f for (_, f) in skel_items], dtype=np.int64)
+    # Skeleton arcs first, in insertion order, then the sampled extras.
+    skel_flow = np.fromiter(skeleton.values(), dtype=np.int64, count=len(skeleton))
     skel_lo = np.maximum(skel_flow, cap_lo)
     skel_caps = rng.integers(skel_lo, cap_hi + 1)
     extra_caps = rng.integers(cap_lo, cap_hi + 1, size=extra_needed)
-    total_arcs = len(skel_items) + extra_needed
+    total_arcs = len(skeleton) + extra_needed
     costs = rng.integers(spec.cost_range[0], spec.cost_range[1] + 1, size=total_arcs)
     fixed = rng.integers(spec.fc_range[0], spec.fc_range[1] + 1, size=total_arcs)
 
-    arcs = []
-    for idx, ((u, v), _) in enumerate(skel_items):
-        arcs.append(ArcData(tail=u, head=v, cost=int(costs[idx]), fixed=int(fixed[idx]),
-                            capacity=int(skel_caps[idx])))
-    for pos, code in enumerate(extra_codes):
-        idx = len(skel_items) + pos
-        arcs.append(ArcData(tail=code // N, head=code % N, cost=int(costs[idx]),
-                            fixed=int(fixed[idx]), capacity=int(extra_caps[pos])))
-
-    supply = [0] * N
-    for i, v in zip(sources, sup):
-        supply[i] = int(v)
-    for k, v in zip(sinks, dem):
-        supply[k] = -int(v)
-    return validate(NetworkProblem(node_count=N, supply=tuple(supply), arcs=tuple(arcs)))
+    codes = np.array([u * N + v for (u, v) in skeleton] + extra_codes, dtype=np.int64)
+    supply = np.zeros(N, dtype=np.int64)
+    supply[sources] = sup
+    supply[sinks] = -dem
+    return validate(NetworkProblem(supply, codes // N, codes % N, costs, fixed,
+                                   np.concatenate([skel_caps, extra_caps])))

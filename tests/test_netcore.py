@@ -59,6 +59,42 @@ def test_validate_rejects_negative_capacity_and_charge():
         nc.validate(nc.make_problem([1, -1], [(0, 1, 3, -1, 2)]))
 
 
+def test_validate_rejects_total_supply_beyond_int64():
+    big = 2**62
+    p = nc.make_problem([big, big, -big, -big], [(0, 2, 1, 0, big), (1, 3, 1, 0, big)])
+    with pytest.raises(ValueError):
+        nc.validate(p)
+
+
+@pytest.mark.parametrize("supply,row,error", [
+    ([5, -5], (0, 1, 10**20, 0, 10), nc.NegativeCapacityOrCharge),
+    ([5, -5], (0, 1, 3.5, 0, 10), nc.NegativeCapacityOrCharge),
+    ([5, -5], (0, 1, 3, 2.5, 10), nc.NegativeCapacityOrCharge),
+    ([5, -5], (0, 1, 3, 0, 10**19), nc.NegativeCapacityOrCharge),
+    ([5, -5], (0, 2**64, 3, 0, 10), nc.BadArcEndpoint),
+    ([5.5, -5.5], (0, 1, 3, 0, 10), ValueError),
+    ([10**20, -10**20], (0, 1, 3, 0, 10), ValueError),
+], ids=["cost", "fractional-cost", "fractional-charge", "capacity", "head", "fractional-supply",
+        "supply"])
+def test_make_problem_rejects_values_outside_int64(supply, row, error):
+    with pytest.raises(error):
+        nc.make_problem(supply, [row])
+
+
+def test_problem_rejects_unequal_arc_columns():
+    with pytest.raises(ValueError):
+        nc.NetworkProblem([1, -1], [0, 0], [1], [3], [0], [10])
+
+
+def test_problem_columns_are_read_only_int64():
+    p = nc.make_problem([5, -5], [(0, 1, 3, 100, 10)])
+    for col in (p.supply, p.tail, p.head, p.cost, p.fixed, p.cap):
+        assert col.dtype == np.int64
+        with pytest.raises(ValueError):
+            col[0] = 1
+    assert p.arcs == (nc.ArcData(tail=0, head=1, cost=3, fixed=100, capacity=10),)
+
+
 # -- solve_lp -----------------------------------------------------------------
 
 

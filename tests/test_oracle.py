@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ def test_check_solution_flags_fractional_flow():
     report = oracle.check_solution(p, np.array([5.0, 0.0, 0.5, 4.5]))
     assert not report.feasible
     assert any("fractional" in v for v in report.violations)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300])
+def test_check_solution_flags_non_finite_and_huge_flows_without_casting(bad):
+    p = nc.make_problem([5, -5], [(0, 1, 3, 100, 10)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast of bad to int64 would warn
+        report = oracle.check_solution(p, np.array([bad]))
+        with pytest.raises(nc.InfeasibleFlows):
+            nc.fc_objective(p, [bad])
+    assert not report.feasible and report.objective is None
+    assert report.violations and all(v.startswith("arc 0:") for v in report.violations)
 
 
 def test_check_solution_validates_heuristic_output():

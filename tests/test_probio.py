@@ -15,7 +15,7 @@ TWO_NODE = "p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 0 10 3 100\n"
 def test_parse_minimal_instance():
     p = probio.parse_fcnf(TWO_NODE)
     assert p.node_count == 2 and p.arc_count == 1
-    assert p.supply == (5, -5)
+    assert p.supply.tolist() == [5, -5]
     a = p.arcs[0]
     assert (a.tail, a.head, a.cost, a.fixed, a.capacity) == (0, 1, 3, 100, 10)
 
@@ -23,7 +23,7 @@ def test_parse_minimal_instance():
 def test_parse_missing_node_line_defaults_to_zero():
     text = "p fcnf 3 2\nn 1 5\nn 3 -5\na 1 2 0 10 3 0\na 2 3 0 10 3 0\n"
     p = probio.parse_fcnf(text)
-    assert p.supply == (5, 0, -5)
+    assert p.supply.tolist() == [5, 0, -5]
 
 
 def test_parse_comments_ignored():
@@ -35,6 +35,17 @@ def test_parse_rejects_self_loop_via_validation():
     text = "p fcnf 2 1\nn 1 5\nn 2 -5\na 1 1 0 10 3 100\n"
     with pytest.raises(nc.BadArcEndpoint):
         probio.parse_fcnf(text)
+
+
+@pytest.mark.parametrize("lines,error", [
+    ("n 1 5\nn 2 -5\na 1 2 0 10 100000000000000000000 100", nc.NegativeCapacityOrCharge),
+    ("n 1 5\nn 2 -5\na 1 2 0 10000000000000000000 3 100", nc.NegativeCapacityOrCharge),
+    ("n 1 5\nn 2 -5\na 1 18446744073709551617 0 10 3 100", nc.BadArcEndpoint),
+    ("n 1 100000000000000000000\nn 2 -100000000000000000000\na 1 2 0 10 3 100", ValueError),
+], ids=["cost", "capacity", "head", "supply"])
+def test_parse_rejects_values_outside_int64(lines, error):
+    with pytest.raises(error):
+        probio.parse_fcnf(f"p fcnf 2 1\n{lines}\n")
 
 
 def test_parse_rejects_arc_count_mismatch():
