@@ -268,7 +268,7 @@ class GhostImageSearch:
     # -- global best bookkeeping --------------------------------------------
 
     def _record_global(self, set_gbest_iter: bool = False, set_best_pass: bool = False) -> None:
-        if self.xstar_val < self.xg_val:
+        if self.xg is None or self.xstar_val < self.xg_val:
             self.xg_val = self.xstar_val
             self.xg = self.xstar.copy()
             if set_gbest_iter:
@@ -458,7 +458,9 @@ class GhostImageSearch:
         i = pen.fc_idx
         pen.v[i] = np.maximum(pen.u_o - pen.v[i], 1.0)
         self._record_global()
-        self.xstar_val = self.bigm
+        # every flow costs less than bigm unless BIGM_CAP binds; then restart
+        # from the global best, or the stale xstar would be recorded at bigm
+        self.xstar_val = max(self.bigm, self.xg_val)
 
     def dup_check(self) -> bool:
         """Scan the signature ring for the current zero pattern.

@@ -584,13 +584,36 @@ def pivot(state: SimplexState, ev: PivotEval) -> SimplexState:
     return state
 
 
+def _meet(r1, d1, r2, d2):
+    """(min residual, summed release charges of the arcs attaining it) of two paths."""
+    r = np.minimum(r1, r2)
+    return r, np.where(r1 == r, d1, 0) + np.where(r2 == r, d2, 0)
+
+
 def evaluate_all_entering(state: SimplexState):
-    """Vectorized tentative-pivot sweep over every nonbasic instance arc.
+    """Fixed-charge sweep: a tentative full pivot of every nonbasic instance arc.
 
     Returns (candidates, delta, objective_delta, admissible). Inadmissible
     entries are moves that would push positive flow onto an artificial root
     arc; their objective delta is reported as 0 and must not be pivoted.
-    Values agree exactly with evaluate_fc_entering on admissible arcs.
+    Every delta, and every objective delta of an admissible entry, equals
+    evaluate_fc_entering's exactly.
+
+    Cycles are answered by binary lifting over the basis tree. The arc
+    pred[w] from node w to its parent has one set of values per cycle side:
+    side a climbs from the node the flow leaves (flow runs parent -> w),
+    side b from the node it re-enters (w -> parent). The values are the
+    residual in the push direction, the charge released when the arc
+    decreases to that residual, the charge gained when it is increasing and
+    empty, and whether it is an increasing artificial arc. Level l of the
+    tables holds each node's 2^l-th ancestor and those values combined over
+    the 2^l arcs up to it: the residual minimum with the summed release
+    charges of the arcs attaining it, the gain sum and the artificial OR.
+    The root is its own ancestor and holds identity values. Flows change on
+    every pivot, so the tables are rebuilt on each call in O(n log depth).
+    A candidate's query takes O(log depth): it lifts the deeper endpoint to
+    the other's depth and both to their common ancestor, then combines each
+    side's path from the levels named by the bits of its length.
     """
     m = state.m
     status = state.status
@@ -602,78 +625,78 @@ def evaluate_all_entering(state: SimplexState):
 
     tail, head = state.tail, state.head
     cap, flow, fixed = state.cap, state.flow, state.fixed
-    parent, pred, depth = state.parent, state.pred_arc, state.depth
+    n, root, depth = state.n, state.root, state.depth
+
+    # Level 0, flattened as side a at [0, n] and side b at [n + 1, 2n + 1].
+    e = state.pred_arc[:n]
+    up = tail[e] == np.arange(n)  # side a decreases the arc, side b increases it
+    fe, ce, xe = flow[e], cap[e], fixed[e]
+    empty = np.where(fe == 0, xe, 0)
+    art = e >= m
+
+    def sides(a, b, identity):
+        return np.concatenate([a, [identity], b, [identity]])
+
+    anc = [np.append(state.parent[:n], root)]
+    res = [sides(np.where(up, fe, ce - fe), np.where(up, ce - fe, fe), _INT64_MAX)]
+    rel = [sides(np.where(up, xe, 0), np.where(up, 0, xe), 0)]
+    gain = [sides(np.where(up, 0, empty), np.where(up, empty, 0), 0)]
+    arti = [sides(~up & art, up & art, False)]
+    for _ in range(1, max(1, int(depth.max()).bit_length())):
+        a = anc[-1]
+        nxt = np.concatenate([a, a + (n + 1)])
+        r, d = _meet(res[-1], rel[-1], res[-1][nxt], rel[-1][nxt])
+        res.append(r)
+        rel.append(d)
+        gain.append(gain[-1] + gain[-1][nxt])
+        arti.append(arti[-1] | arti[-1][nxt])
+        anc.append(a[a])
 
     dirn = np.where(status[cand] == AT_LOWER, 1, -1).astype(np.int64)
-    na = np.where(dirn > 0, tail[cand], head[cand])
-    nb = np.where(dirn > 0, head[cand], tail[cand])
+    cur = np.where(dirn > 0, [tail[cand], head[cand]], [head[cand], tail[cand]])
 
-    res = cap[cand].astype(np.int64)
-    gain_raw = np.zeros(k, dtype=np.int64)
-    art_inc = np.zeros(k, dtype=bool)
+    # Common ancestor: lift the deeper endpoint by the depth difference, jump
+    # both to just below their common ancestor, then take the last step.
+    dd = depth[cur[0]] - depth[cur[1]]
+    x = np.where(dd > 0, cur[0], cur[1])
+    y = np.where(dd > 0, cur[1], cur[0])
+    dd = np.abs(dd)
+    for level, a in enumerate(anc):
+        x = np.where((dd >> level) & 1 == 1, a[x], x)
+    for a in reversed(anc):
+        ax, ay = a[x], a[y]
+        move = ax != ay
+        x = np.where(move, ax, x)
+        y = np.where(move, ay, y)
+    apex = np.where(x != y, anc[0][x], x)
 
-    ca = na.copy()
-    cb = nb.copy()
-    act = np.nonzero(ca != cb)[0]
-    while act.size:
-        da = depth[ca[act]]
-        db = depth[cb[act]]
-        ia = act[da >= db]
-        ib = act[db >= da]
-        if ia.size:
-            w = ca[ia]
-            e = pred[w]
-            dec = tail[e] == w  # cycle flow runs parent -> node on this side
-            r = np.where(dec, flow[e], cap[e] - flow[e])
-            res[ia] = np.minimum(res[ia], r)
-            inc = ~dec
-            gain_raw[ia] += np.where(inc & (flow[e] == 0), fixed[e], 0)
-            art_inc[ia] |= inc & (e >= m)
-            ca[ia] = parent[w]
-        if ib.size:
-            w = cb[ib]
-            e = pred[w]
-            inc = tail[e] == w  # cycle flow runs node -> parent on this side
-            r = np.where(inc, cap[e] - flow[e], flow[e])
-            res[ib] = np.minimum(res[ib], r)
-            gain_raw[ib] += np.where(inc & (flow[e] == 0), fixed[e], 0)
-            art_inc[ib] |= inc & (e >= m)
-            cb[ib] = parent[w]
-        act = act[ca[act] != cb[act]]
+    # Both sides' paths to it at once, by the bits of their lengths; a side
+    # that does not move at a level reads the root's identity values.
+    steps = depth[cur] - depth[apex]
+    side = np.array([[0], [n + 1]])
+    r = np.stack([cap[cand], np.full(k, _INT64_MAX)])  # the entering arc's own bound
+    d = np.zeros((2, k), dtype=np.int64)
+    g = np.zeros((2, k), dtype=np.int64)
+    f = np.zeros((2, k), dtype=bool)
+    for level, a in enumerate(anc):
+        move = (steps >> level) & 1 == 1
+        idx = np.where(move, cur, root) + side
+        r, d = _meet(r, d, res[level][idx], rel[level][idx])
+        g += gain[level][idx]
+        f |= arti[level][idx]
+        cur = np.where(move, a[cur], cur)
 
-    delta = res
-    admissible = ~(art_inc & (delta > 0))
+    delta, drop = _meet(r[0], d[0], r[1], d[1])
+    admissible = ~((f[0] | f[1]) & (delta > 0))
     d_eff = np.where(admissible, delta, 0)
-
-    drop = np.zeros(k, dtype=np.int64)
-    if np.any(d_eff > 0):
-        ca = na.copy()
-        cb = nb.copy()
-        act = np.nonzero((ca != cb) & (d_eff > 0))[0]
-        while act.size:
-            da = depth[ca[act]]
-            db = depth[cb[act]]
-            ia = act[da >= db]
-            ib = act[db >= da]
-            if ia.size:
-                w = ca[ia]
-                e = pred[w]
-                dec = tail[e] == w
-                drop[ia] += np.where(dec & (flow[e] == d_eff[ia]), fixed[e], 0)
-                ca[ia] = parent[w]
-            if ib.size:
-                w = cb[ib]
-                e = pred[w]
-                dec = tail[e] != w
-                drop[ib] += np.where(dec & (flow[e] == d_eff[ib]), fixed[e], 0)
-                cb[ib] = parent[w]
-            act = act[ca[act] != cb[act]]
+    moved = d_eff > 0
 
     fj = fixed[cand]
-    gain = np.where(d_eff > 0, gain_raw, 0)
-    gain += np.where((dirn > 0) & (d_eff > 0), fj, 0)
-    drop += np.where((dirn < 0) & (d_eff > 0) & (d_eff == cap[cand]), fj, 0)
+    gain_j = np.where(moved, g[0] + g[1], 0)
+    gain_j += np.where((dirn > 0) & moved, fj, 0)
+    drop_j = np.where(moved, drop, 0)
+    drop_j += np.where((dirn < 0) & moved & (d_eff == cap[cand]), fj, 0)
 
     rc = state.base_cost[cand] - state.pot_c[tail[cand]] + state.pot_c[head[cand]]
-    xoj = dirn * rc * d_eff + gain - drop
+    xoj = dirn * rc * d_eff + gain_j - drop_j
     return cand, delta, xoj, admissible

@@ -1,12 +1,13 @@
 import csv
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fixnet import bench, probio
+from fixnet import bench, oracle, probio
 
 TWO_NODE = "p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 0 10 3 100\n"
 
@@ -42,6 +43,19 @@ def test_solve_forced_flow_record(two_node_file, tmp_path, capsys):
     lines = Path(sol).read_text().splitlines()
     assert lines[0] == "s 115"
     assert lines[1] == "f 1 2 5"
+
+
+def test_solve_when_every_flow_costs_more_than_bigm(tmp_path):
+    path = tmp_path / "huge.fcnf"
+    path.write_text("p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 0 10 300000000000 0\n")
+    out = tmp_path / "rec.csv"
+    assert run_cli(["solve", str(path), "--output", str(out)]) == 0
+    rows = read_csv(out.read_text())
+    assert rows[1][bench.CSV_COLUMNS.index("best_z")] == "1500000000000"
+    lines = Path(str(path) + ".sol").read_text().splitlines()
+    assert lines == ["s 1500000000000", "f 1 2 5"]
+    rep = oracle.check_solution(probio.parse_fcnf(path.read_text()), [5])
+    assert rep.feasible and rep.objective == 1500000000000
 
 
 def test_solve_param_plumbing(two_node_file, tmp_path):
@@ -220,10 +234,14 @@ def test_oracle_subcommand_too_large(tmp_path, capsys):
 
 
 def test_module_invocation_smoke(two_node_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "fixnet.bench", "solve", str(two_node_file)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "115" in proc.stdout

@@ -502,6 +502,20 @@ def test_run_respects_lower_bound_sandwich():
     assert lp_obj <= opt <= res.best_value
 
 
+@pytest.mark.parametrize("arcs,best", [
+    ([(0, 1, 3 * 10**11, 0, 10)], 15 * 10**11),
+    ([(0, 1, 3 * 10**11, 0, 3), (0, 1, 4 * 10**11, 9, 10)], 17 * 10**11 + 9),
+])
+def test_run_when_every_flow_costs_more_than_bigm(arcs, best):
+    # bigm is capped at 1e12, below the cost of any flow here
+    p = nc.make_problem([5, -5], arcs)
+    res = gits.run(p)
+    assert res.best_value == best == oracle.brute_force_opt(p).optimum
+    rep = oracle.check_solution(p, res.best_flows)
+    assert rep.feasible and rep.objective == best
+    assert res.gbest_trace[-1] == best
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10**6))
 def test_run_best_is_always_feasible_and_exact(seed):

@@ -267,6 +267,129 @@ def test_evaluate_matches_pivot_recompute_everywhere():
     assert checked > 50
 
 
+# -- evaluate_all_entering --------------------------------------------------------
+
+
+def assert_sweep_matches_cycles(state, p):
+    """Check the sweep on every nonbasic instance arc against
+    evaluate_fc_entering and against the admissibility rule read off the
+    cycle paths: inadmissible means the push is positive and increases an
+    artificial root arc."""
+    cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+    assert np.array_equal(cand, np.flatnonzero(state.status[: state.m] != nc.IN_TREE))
+    for pos, j in enumerate(cand.tolist()):
+        ev = nc.evaluate_fc_entering(state, p, j)
+        assert delta[pos] == ev.delta
+        _, _, path_a, path_b = state._cycle(j, ev._dirn)
+        raises_artificial = any(e >= state.m and s > 0 for e, s in path_a + path_b)
+        assert ok[pos] == (not (raises_artificial and ev.delta > 0))
+        assert xoj[pos] == (ev.objective_delta if ok[pos] else 0)
+    return cand, delta, xoj, ok
+
+
+def rail(nodes, base):
+    """A path of `nodes` nodes from `base`. The first node sends a unit to
+    each other node of the first two thirds, so the forward arcs there sit
+    strictly inside their bounds and those into the last third are empty
+    basic arcs. Backward arcs and shortcuts both ways stay idle."""
+    busy = nodes - nodes // 3
+    supply = [busy - 1] + [-1] * (busy - 1) + [0] * (nodes - busy)
+    arcs = []
+    for i in range(base, base + nodes - 1):
+        arcs.append((i, i + 1, 1, 10 + i, 2 * nodes))
+        arcs.append((i + 1, i, 2, 7, 2 * nodes))
+    for i in range(base, base + nodes - 3, 2):
+        arcs += [(i, i + 3, 4, 5, 2), (i + 3, i, 4, 5, 2)]
+    return supply, arcs
+
+
+def rail_ladder(depth):
+    """Two rails joined by rungs. Each rail hangs from its source in the
+    optimal basis, so the LP tree is exactly `depth` deep."""
+    s1, a1 = rail(depth, 0)
+    s2, a2 = rail(depth, depth)
+    rungs = []
+    for i in range(0, depth, 2):
+        rungs += [(i, depth + i, 50, 3, 2), (depth + i, i, 50, 3, 2)]
+    return nc.make_problem(s1 + s2, a1 + a2 + rungs)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_sweep_matches_cycle_walk_on_deep_trees(depth):
+    # the depths straddle every power of two, where the sweep adds a level
+    p = rail_ladder(depth)
+    state = nc.solve_lp(p, p.cost)
+    assert int(state.depth.max()) == depth
+    assert_sweep_matches_cycles(state, p)
+    pivots = 0
+    for _ in range(5):
+        cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+        moves = np.flatnonzero(ok & (delta > 0))
+        if not moves.size:
+            break
+        j = int(cand[moves[np.argmin(xoj[moves])]])
+        nc.pivot(state, nc.evaluate_fc_entering(state, p, j))
+        pivots += 1
+        assert_sweep_matches_cycles(state, p)
+    assert pivots == 5 or depth < 4
+    # the first pivots of a cold solve, while artificial arcs carry flow
+    cold = nc.SimplexState(p, p.cost)
+    for _ in range(depth):
+        j = cold._price()
+        if not 0 <= j < cold.m:
+            break
+        nc.pivot(cold, nc.evaluate_fc_entering(cold, p, j))
+        assert_sweep_matches_cycles(cold, p)
+
+
+def test_sweep_on_fresh_all_artificial_state():
+    # sources 0 and 1, sinks 2 and 4, transshipment node 3
+    p = nc.make_problem([3, 2, -4, 0, -1], [
+        (0, 2, 1, 5, 9), (2, 0, 1, 5, 9), (1, 3, 1, 5, 9), (3, 4, 1, 5, 9),
+        (4, 1, 1, 5, 9), (3, 2, 1, 5, 9), (0, 1, 1, 5, 9),
+    ])
+    state = nc.SimplexState(p, p.cost)
+    assert int(state.depth.max()) == 1
+    cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
+    # a positive push drains the artificial arcs at both ends only when it runs
+    # from a source into a sink; every other one fills an artificial arc
+    source = p.supply > 0
+    drains = source[p.tail[cand]] & (p.supply[p.head[cand]] < 0)
+    pos = delta > 0
+    assert np.array_equal(ok[pos], drains[pos])
+    assert ok[pos].any() and not ok[pos].all()
+
+
+def test_sweep_with_no_nonbasic_arc():
+    p = nc.make_problem([5, -5], [(0, 1, 3, 7, 10)])
+    state = nc.solve_lp(p, p.cost)
+    assert state.status[0] == nc.IN_TREE
+    cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+    assert cand.size == delta.size == xoj.size == ok.size == 0
+    assert delta.dtype == xoj.dtype == np.int64 and ok.dtype == bool
+
+
+def test_sweep_sums_every_tied_release_on_both_sides():
+    # R=0 supplies 4 to T=6 down the right leg 0->4->5->6. A saturated
+    # negative-cost feeder 0->3 sends 4 more round the left leg 3->2->1->0,
+    # so the basis hangs from R and every leg arc carries 4. Pushing along
+    # the shortcut 3->6 empties all six leg arcs at once.
+    p = nc.make_problem([4, 0, 0, 0, 0, 0, -4], [
+        (3, 2, 1, 1, 9), (2, 1, 1, 2, 9), (1, 0, 1, 4, 9),
+        (0, 4, 1, 8, 9), (4, 5, 1, 16, 9), (5, 6, 1, 32, 9),
+        (0, 3, -10, 64, 4), (3, 6, 20, 128, 9),
+    ])
+    state = nc.solve_lp(p, p.cost)
+    _, _, path_a, path_b = state._cycle(7, 1)
+    assert sorted(e for e, s in path_a if s < 0) == [0, 1, 2]
+    assert sorted(e for e, s in path_b if s < 0) == [3, 4, 5]
+    cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
+    assert cand.tolist() == [6, 7] and delta.tolist() == [4, 4] and ok.all()
+    # feeder: -(-7) * 4 - (1 + 2 + 4) - 64 for its own charge at its bound
+    # shortcut: 14 * 4 + 128 - (1 + 2 + 4 + 8 + 16 + 32)
+    assert xoj.tolist() == [-43, 121]
+
+
 # -- pivot ----------------------------------------------------------------------
 
 
