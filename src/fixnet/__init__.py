@@ -16,6 +16,7 @@ from .gits import (
 from .netcore import (
     ArcData,
     BadArcEndpoint,
+    BigMTooSmall,
     FixnetError,
     Infeasible,
     InfeasibleFlows,

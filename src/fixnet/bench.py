@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gits, oracle, probio
-from .netcore import FixnetError, Infeasible, NetworkProblem
+from .netcore import BigMTooSmall, FixnetError, Infeasible, NetworkProblem
 
 CSV_COLUMNS = [
     "instance",
@@ -151,6 +151,9 @@ def cmd_solve(args) -> int:
     params = _load_params(args)
     try:
         rec, result = _solve_record(Path(args.input).stem, problem, params)
+    except BigMTooSmall as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
@@ -255,9 +258,10 @@ def _bench_one(path_str: str, params: gits.Params, use_oracle: bool, fc_limit: i
         return {"instance": name}, f"{name}: {exc}"
     try:
         rec, result = _solve_record(name, problem, params)
-    except Infeasible as exc:
+    except (BigMTooSmall, Infeasible) as exc:
+        msg = f"infeasible ({exc})" if isinstance(exc, Infeasible) else str(exc)
         return {"instance": name, "nodes": problem.node_count, "arcs": problem.arc_count}, \
-            f"{name}: infeasible ({exc})"
+            f"{name}: {msg}"
     if use_oracle:
         fc_arcs = int((problem.fixed > 0).sum())
         if fc_arcs <= fc_limit:
@@ -318,7 +322,7 @@ def cmd_oracle(args) -> int:
         return 2
     try:
         result = oracle.brute_force_opt(problem, max_fc_arcs=args.max_fc_arcs)
-    except oracle.TooLarge as exc:
+    except (oracle.TooLarge, BigMTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Infeasible as exc:

@@ -51,6 +51,11 @@ class InfeasibleFlows(FixnetError):
     pass
 
 
+class BigMTooSmall(FixnetError):
+    """Artificial flow is left, but the artificial-arc cost is too small to
+    prove infeasibility: a real route may cost more than a detour via the root."""
+
+
 class StalePivotEval(FixnetError):
     pass
 
@@ -304,32 +309,41 @@ class SimplexState:
 
     def _rebuild(self) -> None:
         """Recompute labels, depths and both potential vectors from the tree arcs."""
+        root = self.root
+        self.parent[root] = -1
+        self.pred_arc[root] = -1
+        self.depth[root] = 0
+        self.pot_work[root] = 0.0
+        self.pot_c[root] = 0
+        if self._hang(root, self.tree_adj[root]) != self.n:
+            raise SimplexStalled("basis arcs do not span every node")
+
+    def _hang(self, u: int, arcs) -> int:
+        """Label every node reached from u across the given tree arcs of u.
+
+        Each node takes its parent, pred arc, depth and both potentials from
+        its parent, so the labels equal a full walk from the root bit for bit
+        whenever u's own labels do. Returns the number of nodes labelled.
+        """
         parent, pred, depth = self.parent, self.pred_arc, self.depth
         pw, pc = self.pot_work, self.pot_c
-        tail, work, basec = self.tail, self.work, self.base_cost
-        root = self.root
-        parent[root] = -1
-        pred[root] = -1
-        depth[root] = 0
-        pw[root] = 0.0
-        pc[root] = 0
-        stack = [root]
+        tail, head, work, basec = self.tail, self.head, self.work, self.base_cost
+        adj = self.tree_adj
+        stack = []
         count = 0
-        while stack:
-            u = stack.pop()
-            count += 1
+        while True:
             pe = pred[u]
-            du = depth[u]
+            du = depth[u] + 1
             pwu = pw[u]
             pcu = pc[u]
-            for a in self.tree_adj[u]:
+            for a in arcs:
                 if a == pe:
                     continue
                 t = tail[a]
-                v = self.head[a] if t == u else t
+                v = head[a] if t == u else t
                 parent[v] = u
                 pred[v] = a
-                depth[v] = du + 1
+                depth[v] = du
                 if t == v:
                     pw[v] = work[a] + pwu
                     pc[v] = basec[a] + pcu
@@ -337,8 +351,11 @@ class SimplexState:
                     pw[v] = pwu - work[a]
                     pc[v] = pcu - basec[a]
                 stack.append(v)
-        if count != self.n + 1:
-            raise SimplexStalled("basis arcs do not span every node")
+            if not stack:
+                return count
+            u = stack.pop()
+            arcs = adj[u]
+            count += 1
 
     def real_flows(self) -> np.ndarray:
         """Flows on the instance arcs."""
@@ -439,7 +456,24 @@ class SimplexState:
         return delta, leaving, path_a, path_b
 
     def _apply(self, j: int, k: int, delta: int, dirn: int, path_a, path_b) -> None:
+        """Push delta round the cycle of j and exchange j for k in the basis.
+
+        Dropping k cuts off the endpoint of j on k's side of the cycle; it is
+        hung below the other endpoint p through j, and only the moved subtree
+        is relabelled.
+        """
         flow, status = self.flow, self.status
+        if k != j:
+            na, nb = int(self.tail[j]), int(self.head[j])
+            if dirn < 0:
+                na, nb = nb, na
+            # p: the endpoint of j still joined to the root once k is dropped
+            if any(e == k for e, _ in path_a):
+                p = nb
+            elif any(e == k for e, _ in path_b):
+                p = na
+            else:
+                raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
         if delta:
             flow[j] += dirn * delta
             for e, s in path_a:
@@ -461,7 +495,7 @@ class SimplexState:
                 raise SimplexStalled(f"leaving arc {k} not at a bound (flow {fk})")
             self.tree_adj[int(self.tail[k])].remove(k)
             self.tree_adj[int(self.head[k])].remove(k)
-            self._rebuild()
+            self._hang(p, (j,))
         self.version += 1
         self.pivot_count += 1
 
@@ -483,7 +517,7 @@ class SimplexState:
     # -- diagnostics ---------------------------------------------------------
 
     def assert_valid_basis(self) -> None:
-        """Raise when any structural or flow invariant is broken (test hook)."""
+        """Raise when any structural, flow or tree-label invariant is broken (test hook)."""
         n, m = self.n, self.m
         if int(np.sum(self.status == IN_TREE)) != n:
             raise SimplexStalled("tree arc count is not node count")
@@ -500,7 +534,24 @@ class SimplexState:
         expect[:n] = self.problem.supply
         if np.any(net != expect):
             raise SimplexStalled("flow conservation violated")
+        root, parent, pred, depth = self.root, self.parent, self.pred_arc, self.depth
+        if (parent[root], pred[root], depth[root], self.pot_work[root], self.pot_c[root]) \
+                != (-1, -1, 0, 0.0, 0):
+            raise SimplexStalled("root labels are not the root's")
+        u, e = parent[:n], pred[:n]
+        if np.any((u < 0) | (u > n)) or np.any((e < 0) | (e >= self.E)):
+            raise SimplexStalled("parent or pred arc label out of range")
+        v = np.arange(n)
+        te, he = self.tail[e], self.head[e]
+        joins = ((te == v) & (he == u)) | ((he == v) & (te == u))
+        if np.any(self.status[e] != IN_TREE) or not np.all(joins):
+            raise SimplexStalled("pred arc is not a tree arc to the parent")
+        if np.any(depth[:n] != depth[u] + 1):
+            raise SimplexStalled("depth is not the parent's plus one")
         tree = np.nonzero(self.status == IN_TREE)[0]
+        pc = self.pot_c
+        if np.any(self.base_cost[tree] - pc[self.tail[tree]] + pc[self.head[tree]]):
+            raise SimplexStalled("tree arc with nonzero integer reduced cost")
         rc = self.work[tree] - self.pot_work[self.tail[tree]] + self.pot_work[self.head[tree]]
         scale = max(1.0, float(np.max(np.abs(self.work)))) if self.E else 1.0
         if np.any(np.abs(rc) > 1e-6 * scale):
@@ -513,6 +564,12 @@ def solve_lp(problem: NetworkProblem, costs) -> SimplexState:
     state = SimplexState(problem, costs)
     state.optimize()
     if state.has_artificial_flow():
+        # a route of at most n - 1 arcs beats the 2 * bigm detour via the root
+        # only when the costs are below this bound; BIGM_CAP can break it
+        route = (state.n - 1) * float(np.max(np.abs(state.work[: state.m]), initial=0.0))
+        if 2 * state.bigm <= route:
+            raise BigMTooSmall(f"artificial flow is left, but big-M {state.bigm} is too small "
+                               f"to prove infeasibility against routes costing up to {route:.6g}")
         raise Infeasible("no feasible flow meets all supplies")
     return state
 

@@ -103,6 +103,40 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert run_cli(["solve", str(path)]) == 3
 
 
+def path_of_costly_arcs(cost):
+    """Feasible path 1 -> 2 -> 3 carrying 5 units at `cost` per unit on each arc."""
+    return f"p fcnf 3 2\nn 1 5\nn 3 -5\na 1 2 0 10 {cost} 0\na 2 3 0 10 {cost} 0\n"
+
+
+@pytest.mark.parametrize("cmd", ["solve", "oracle"])
+@pytest.mark.parametrize("text,code", [
+    (path_of_costly_arcs(1_100_000_000_000), 2),  # routes outweigh the capped big-M
+    (path_of_costly_arcs(400_000_000_000), 0),
+    ("p fcnf 3 2\nn 1 5\nn 3 -5\na 1 2 0 10 3 0\na 2 3 0 4 3 0\n", 3),
+], ids=["bigm-too-small", "bigm-dominates", "infeasible"])
+def test_artificial_flow_exit_codes(tmp_path, capsys, cmd, text, code):
+    path = tmp_path / "path.fcnf"
+    path.write_text(text)
+    assert run_cli([cmd, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({0: "", 2: "error: ", 3: "infeasible: "}[code])
+    if code == 0 and cmd == "solve":
+        assert Path(str(path) + ".sol").read_text().splitlines()[0] == "s 4000000000000"
+
+
+def test_bench_reports_bigm_too_small_as_error_row(tmp_path, capsys):
+    make_small_suite(tmp_path, count=1)
+    (tmp_path / "costly.fcnf").write_text(path_of_costly_arcs(1_100_000_000_000))
+    out = tmp_path / "res.csv"
+    assert run_cli(["bench", str(tmp_path), "--output", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "error: costly: artificial flow is left" in err
+    rows = read_csv(out.read_text())
+    assert [r[0] for r in rows[1:]] == ["costly", "i0", "average"]
+    assert rows[1][bench.CSV_COLUMNS.index("nodes")] == "3"
+    assert rows[1][bench.CSV_COLUMNS.index("best_z")] == ""
+
+
 def test_solve_config_file_and_env(tmp_path, monkeypatch, two_node_file):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("MaxPass=2\n")

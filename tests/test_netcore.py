@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixnet import netcore as nc
+from fixnet import probio
 from ssp_reference import min_cost_flow
 
 
@@ -450,6 +453,125 @@ def test_pivot_objective_delta_applies_exactly():
     ev = nc.evaluate_fc_entering(state, p, 1)
     nc.pivot(state, ev)
     assert nc.fc_objective(p, state.real_flows()) == before + ev.objective_delta
+
+
+# -- incremental tree labels --------------------------------------------------------
+
+LABELS = ("parent", "pred_arc", "depth", "pot_c", "pot_work")
+
+
+@pytest.fixture
+def checked_exchanges(monkeypatch):
+    """After every pivot, the kept labels must equal a full relabel of a copy
+    whose labels were scrambled first, with no float tolerance. Returns the
+    count of exchanges whose leaving arc lay on each cycle side."""
+    sides = {"a": 0, "b": 0}
+    apply = nc.SimplexState._apply
+
+    def checked(state, j, k, delta, dirn, path_a, path_b):
+        apply(state, j, k, delta, dirn, path_a, path_b)
+        if k != j:
+            sides["a" if any(e == k for e, _ in path_a) else "b"] += 1
+        full = state.copy()
+        for name in LABELS:
+            getattr(full, name)[:] = -7
+        full._rebuild()
+        for name in LABELS:
+            assert np.array_equal(getattr(state, name), getattr(full, name)), name
+        state.assert_valid_basis()
+
+    monkeypatch.setattr(nc.SimplexState, "_apply", checked)
+    return sides
+
+
+def fctp_instance():
+    return probio.generate_fctp(probio.FctpSpec(8, 12, total_supply=600, seed=4))
+
+
+def netgen_instance():
+    return probio.generate_netgen_fc(probio.NetgenFcSpec(
+        nodes=40, source_count=6, sink_count=8, arc_count=240, total_supply=900, seed=3))
+
+
+@pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
+def test_cold_solve_keeps_full_relabel_labels(checked_exchanges, make):
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    assert state.pivot_count > 20
+    assert checked_exchanges["a"] > 0 and checked_exchanges["b"] > 0
+
+
+@pytest.mark.parametrize("depth", [8, 17, 33])
+def test_cold_solve_of_deep_trees_keeps_full_relabel_labels(checked_exchanges, depth):
+    p = rail_ladder(depth)
+    state = nc.solve_lp(p, p.cost)
+    assert int(state.depth.max()) == depth
+    assert checked_exchanges["a"] + checked_exchanges["b"] >= depth
+
+
+@pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
+def test_warm_start_keeps_full_relabel_labels(checked_exchanges, make):
+    # fractional penalties as the search sets them, so float potentials round;
+    # on the FCTP instance, shifting a moved subtree's potentials by one
+    # constant would differ from these labels in the last bit
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        before = state.pivot_count
+        v = rng.uniform(1.0, 50.0, size=p.arc_count)
+        nc.reoptimize(state, p.cost + p.fixed / v)
+        assert state.pivot_count > before
+    assert checked_exchanges["a"] > 0 and checked_exchanges["b"] > 0
+
+
+def test_fc_pivots_keep_full_relabel_labels(checked_exchanges):
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost + 0.37)
+    for _ in range(40):
+        cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+        moves = np.flatnonzero(ok)
+        j = int(cand[moves[np.argmin(xoj[moves])]])
+        nc.pivot(state, nc.evaluate_fc_entering(state, p, j))
+    assert checked_exchanges["a"] > 0 and checked_exchanges["b"] > 0
+
+
+def test_exchange_with_leaving_arc_off_the_cycle_is_refused():
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+    ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
+              if ev.leaving != ev.entering)
+    on_cycle = {e for e, _ in ev._path_a + ev._path_b}
+    off = int(next(e for e in np.flatnonzero(state.status == nc.IN_TREE) if e not in on_cycle))
+    before = state.copy()
+    with pytest.raises(nc.SimplexStalled):
+        nc.pivot(state, dataclasses.replace(ev, leaving=off))
+    for name in LABELS + ("flow", "status"):
+        assert np.array_equal(getattr(state, name), getattr(before, name)), name
+    state.assert_valid_basis()
+
+
+@pytest.mark.parametrize("name,node,value", [
+    ("parent", "root", 0), ("pot_c", "root", 1), ("pot_work", "root", 0.5),
+    ("depth", "leaf", 0), ("parent", "leaf", "grandparent"), ("pred_arc", "leaf", "nonbasic"),
+    ("pot_c", "leaf", "plus one"),
+])
+def test_valid_basis_checks_tree_labels(name, node, value):
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    state.assert_valid_basis()
+    leaf = int(np.argmax(state.depth))
+    i = state.root if node == "root" else leaf
+    if value == "grandparent":
+        value = state.parent[state.parent[leaf]]
+    elif value == "nonbasic":
+        value = int(np.flatnonzero(state.status != nc.IN_TREE)[0])
+    elif value == "plus one":
+        value = state.pot_c[leaf] + 1
+    getattr(state, name)[i] = value
+    with pytest.raises(nc.SimplexStalled):
+        state.assert_valid_basis()
 
 
 # -- solver invariants ------------------------------------------------------------
