@@ -47,7 +47,6 @@ class Params:
     epsilon: float = 1e-6
     MaxOutsideIter: Optional[int] = None
     TimeLimit: Optional[float] = None
-    diversify_use_capacity: bool = False
 
     def __post_init__(self):
         if self.DescentTenure is None:
@@ -495,11 +494,8 @@ class GhostImageSearch:
             counts = mem.sum_zero[i]
             mx = int(counts.max())
             f = counts / mx if mx > 0 else np.zeros(i.size, dtype=np.float64)
-            base_hi = self.U[i].astype(np.float64) if prm.diversify_use_capacity \
-                else pen.u0[i].astype(np.float64)
-            v_hi = np.floor(f * base_hi)
-            v_lo = np.maximum(np.floor(f * pen.u0[i]), 1.0)
-            pen.v[i] = np.where(2 * counts > mx, v_hi, v_lo)
+            v = np.floor(f * pen.u0[i])
+            pen.v[i] = np.where(2 * counts > mx, v, np.maximum(v, 1.0))
         build_penalties(pen, self.F, self.bigm, prm.epsilon)
         self._ghost_reoptimize()
         x = self.state.real_flows()

@@ -237,9 +237,7 @@ class PivotEval:
     leaving: int
     delta: int
     objective_delta: int
-    _dirn: int
-    _path_a: tuple
-    _path_b: tuple
+    _cycle: list
     _version: int
 
 
@@ -323,12 +321,15 @@ class SimplexState:
 
         Each node takes its parent, pred arc, depth and both potentials from
         its parent, so the labels equal a full walk from the root bit for bit
-        whenever u's own labels do. Returns the number of nodes labelled.
+        whenever u's own labels do. Returns the number of nodes labelled;
+        more than n means the tree arcs hold a cycle, round which the walk
+        would run for ever, and raises SimplexStalled.
         """
         parent, pred, depth = self.parent, self.pred_arc, self.depth
         pw, pc = self.pot_work, self.pot_c
         tail, head, work, basec = self.tail, self.head, self.work, self.base_cost
         adj = self.tree_adj
+        n = self.n
         stack = []
         count = 0
         while True:
@@ -356,6 +357,8 @@ class SimplexState:
             u = stack.pop()
             arcs = adj[u]
             count += 1
+            if count > n:
+                raise SimplexStalled("basis arcs form a cycle")
 
     def real_flows(self) -> np.ndarray:
         """Flows on the instance arcs."""
@@ -367,25 +370,8 @@ class SimplexState:
     def copy(self) -> "SimplexState":
         """Independent clone; the original is left untouched by pivots on the copy."""
         new = object.__new__(SimplexState)
-        new.problem = self.problem
-        for name in ("n", "m", "root", "E", "bigm", "version", "pivot_count"):
-            setattr(new, name, getattr(self, name))
-        for name in (
-            "tail",
-            "head",
-            "cap",
-            "fixed",
-            "flow",
-            "status",
-            "base_cost",
-            "work",
-            "parent",
-            "pred_arc",
-            "depth",
-            "pot_work",
-            "pot_c",
-        ):
-            setattr(new, name, getattr(self, name).copy())
+        for name, value in vars(self).items():
+            setattr(new, name, value.copy() if isinstance(value, np.ndarray) else value)
         new.tree_adj = [list(adj) for adj in self.tree_adj]
         return new
 
@@ -403,10 +389,11 @@ class SimplexState:
     def _cycle(self, j: int, dirn: int):
         """Ratio test over the basis cycle of arc j pushed in direction dirn.
 
-        Returns (delta, leaving arc, path_a, path_b) where the paths are
-        (arc, sign) pairs; sign is +1 where cycle flow increases the arc.
-        path_a climbs from the node the flow leaves the tree toward the apex,
-        path_b from the node where it re-enters.
+        Returns (delta, leaving arc, cycle). The cycle lists (arc, sign) pairs
+        in push order from the apex: down to the node the flow leaves the
+        tree, j, then up from the node where it re-enters. Sign is +1 where
+        cycle flow increases the arc. The leaving arc is the last one in this
+        order that blocks, which keeps the tree strongly feasible.
         """
         tail, parent, pred, depth = self.tail, self.parent, self.pred_arc, self.depth
         flow, cap = self.flow, self.cap
@@ -427,35 +414,18 @@ class SimplexState:
                 sign = 1 if tail[e] == nb else -1
                 path_b.append((e, sign))
                 nb = int(parent[nb])
+        path_a.reverse()
+        path_a.append((j, dirn))  # j sits at one of its bounds: residual cap[j]
+        cycle = path_a + path_b
 
-        delta = int(cap[j])  # entering arc sits at one of its bounds
-        for e, s in path_a:
-            r = int(cap[e] - flow[e]) if s > 0 else int(flow[e])
-            if r < delta:
-                delta = r
-        for e, s in path_b:
-            r = int(cap[e] - flow[e]) if s > 0 else int(flow[e])
-            if r < delta:
-                delta = r
-
-        # Leaving arc: last blocking arc traversing the cycle from the apex in
-        # the push direction keeps the tree strongly feasible.
-        leaving = -1
-        for e, s in reversed(path_a):
-            r = int(cap[e] - flow[e]) if s > 0 else int(flow[e])
+        residual = [int(cap[e] - flow[e]) if s > 0 else int(flow[e]) for e, s in cycle]
+        delta = min(residual)
+        for (e, _), r in zip(cycle, residual):
             if r == delta:
                 leaving = e
-        if int(cap[j]) == delta:
-            leaving = j
-        for e, s in path_b:
-            r = int(cap[e] - flow[e]) if s > 0 else int(flow[e])
-            if r == delta:
-                leaving = e
-        if leaving < 0:
-            raise SimplexStalled("ratio test found no blocking arc")
-        return delta, leaving, path_a, path_b
+        return delta, leaving, cycle
 
-    def _apply(self, j: int, k: int, delta: int, dirn: int, path_a, path_b) -> None:
+    def _apply(self, j: int, k: int, delta: int, cycle) -> None:
         """Push delta round the cycle of j and exchange j for k in the basis.
 
         Dropping k cuts off the endpoint of j on k's side of the cycle; it is
@@ -463,22 +433,18 @@ class SimplexState:
         is relabelled.
         """
         flow, status = self.flow, self.status
+        dirn = 1 if status[j] == AT_LOWER else -1
         if k != j:
+            arcs = [e for e, _ in cycle]
+            if k not in arcs:
+                raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
             na, nb = int(self.tail[j]), int(self.head[j])
             if dirn < 0:
                 na, nb = nb, na
             # p: the endpoint of j still joined to the root once k is dropped
-            if any(e == k for e, _ in path_a):
-                p = nb
-            elif any(e == k for e, _ in path_b):
-                p = na
-            else:
-                raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
+            p = nb if arcs.index(k) < arcs.index(j) else na
         if delta:
-            flow[j] += dirn * delta
-            for e, s in path_a:
-                flow[e] += s * delta
-            for e, s in path_b:
+            for e, s in cycle:
                 flow[e] += s * delta
         if k == j:
             status[j] = AT_UPPER if dirn > 0 else AT_LOWER
@@ -507,9 +473,8 @@ class SimplexState:
             j = self._price()
             if j < 0:
                 return steps
-            dirn = 1 if self.status[j] == AT_LOWER else -1
-            delta, k, pa, pb = self._cycle(j, dirn)
-            self._apply(j, k, delta, dirn, pa, pb)
+            delta, k, cycle = self._cycle(j, 1 if self.status[j] == AT_LOWER else -1)
+            self._apply(j, k, delta, cycle)
             steps += 1
             if steps > limit:
                 raise SimplexStalled("pivot limit exceeded")
@@ -597,38 +562,24 @@ def evaluate_fc_entering(state: SimplexState, problem: NetworkProblem, j: int) -
     if state.status[j] == IN_TREE:
         raise ValueError(f"arc {j} is basic; entering arc must be nonbasic")
     dirn = 1 if state.status[j] == AT_LOWER else -1
-    delta, k, path_a, path_b = state._cycle(j, dirn)
+    delta, k, cycle = state._cycle(j, dirn)
 
     rc = (state.base_cost[j] - state.pot_c[state.tail[j]] + state.pot_c[state.head[j]]).item()
-    lin = (rc if dirn > 0 else -rc) * delta
-    gain = 0
-    drop = 0
+    charge = 0
     if delta > 0:
         flow, fixed = state.flow, state.fixed
-        for e, s in path_a:
+        for e, s in cycle:
             if s > 0:
                 if flow[e] == 0:
-                    gain += int(fixed[e])
+                    charge += int(fixed[e])
             elif flow[e] == delta:
-                drop += int(fixed[e])
-        for e, s in path_b:
-            if s > 0:
-                if flow[e] == 0:
-                    gain += int(fixed[e])
-            elif flow[e] == delta:
-                drop += int(fixed[e])
-        if dirn > 0:
-            gain += int(state.fixed[j])
-        elif delta == int(state.cap[j]):
-            drop += int(state.fixed[j])
+                charge -= int(fixed[e])
     return PivotEval(
         entering=j,
         leaving=k,
         delta=delta,
-        objective_delta=lin + gain - drop,
-        _dirn=dirn,
-        _path_a=tuple(path_a),
-        _path_b=tuple(path_b),
+        objective_delta=(rc if dirn > 0 else -rc) * delta + charge,
+        _cycle=cycle,
         _version=state.version,
     )
 
@@ -637,7 +588,7 @@ def pivot(state: SimplexState, ev: PivotEval) -> SimplexState:
     """Apply an evaluated pivot: basis exchange or bound flip plus flow update."""
     if ev._version != state.version:
         raise StalePivotEval("state changed since this pivot was evaluated")
-    state._apply(ev.entering, ev.leaving, ev.delta, ev._dirn, list(ev._path_a), list(ev._path_b))
+    state._apply(ev.entering, ev.leaving, ev.delta, ev._cycle)
     return state
 
 

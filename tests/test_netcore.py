@@ -276,15 +276,14 @@ def test_evaluate_matches_pivot_recompute_everywhere():
 def assert_sweep_matches_cycles(state, p):
     """Check the sweep on every nonbasic instance arc against
     evaluate_fc_entering and against the admissibility rule read off the
-    cycle paths: inadmissible means the push is positive and increases an
+    cycle: inadmissible means the push is positive and increases an
     artificial root arc."""
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
     assert np.array_equal(cand, np.flatnonzero(state.status[: state.m] != nc.IN_TREE))
     for pos, j in enumerate(cand.tolist()):
         ev = nc.evaluate_fc_entering(state, p, j)
         assert delta[pos] == ev.delta
-        _, _, path_a, path_b = state._cycle(j, ev._dirn)
-        raises_artificial = any(e >= state.m and s > 0 for e, s in path_a + path_b)
+        raises_artificial = any(e >= state.m and s > 0 for e, s in ev._cycle)
         assert ok[pos] == (not (raises_artificial and ev.delta > 0))
         assert xoj[pos] == (ev.objective_delta if ok[pos] else 0)
     return cand, delta, xoj, ok
@@ -372,25 +371,49 @@ def test_sweep_with_no_nonbasic_arc():
     assert delta.dtype == xoj.dtype == np.int64 and ok.dtype == bool
 
 
-def test_sweep_sums_every_tied_release_on_both_sides():
+def two_legs(feeder_cap=4, shortcut_cap=9):
     # R=0 supplies 4 to T=6 down the right leg 0->4->5->6. A saturated
-    # negative-cost feeder 0->3 sends 4 more round the left leg 3->2->1->0,
-    # so the basis hangs from R and every leg arc carries 4. Pushing along
-    # the shortcut 3->6 empties all six leg arcs at once.
-    p = nc.make_problem([4, 0, 0, 0, 0, 0, -4], [
+    # negative-cost feeder 0->3 sends feeder_cap more round the left leg
+    # 3->2->1->0, so the basis hangs from R. Pushing along the shortcut 3->6
+    # (arc 7) empties the left leg arcs 2, 1, 0 in push order from R, then
+    # the right leg arcs 5, 4, 3.
+    return nc.make_problem([4, 0, 0, 0, 0, 0, -4], [
         (3, 2, 1, 1, 9), (2, 1, 1, 2, 9), (1, 0, 1, 4, 9),
         (0, 4, 1, 8, 9), (4, 5, 1, 16, 9), (5, 6, 1, 32, 9),
-        (0, 3, -10, 64, 4), (3, 6, 20, 128, 9),
+        (0, 3, -10, 64, feeder_cap), (3, 6, 20, 128, shortcut_cap),
     ])
+
+
+def test_sweep_sums_every_tied_release_on_both_sides():
+    # every leg arc carries 4, so the shortcut empties all six at once
+    p = two_legs()
     state = nc.solve_lp(p, p.cost)
-    _, _, path_a, path_b = state._cycle(7, 1)
-    assert sorted(e for e, s in path_a if s < 0) == [0, 1, 2]
-    assert sorted(e for e, s in path_b if s < 0) == [3, 4, 5]
+    _, _, cycle = state._cycle(7, 1)
+    at = [e for e, _ in cycle].index(7)
+    assert sorted(e for e, s in cycle[:at] if s < 0) == [0, 1, 2]
+    assert sorted(e for e, s in cycle[at + 1:] if s < 0) == [3, 4, 5]
     cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
     assert cand.tolist() == [6, 7] and delta.tolist() == [4, 4] and ok.all()
     # feeder: -(-7) * 4 - (1 + 2 + 4) - 64 for its own charge at its bound
     # shortcut: 14 * 4 + 128 - (1 + 2 + 4 + 8 + 16 + 32)
     assert xoj.tolist() == [-43, 121]
+
+
+@pytest.mark.parametrize("feeder_cap,shortcut_cap,leaving", [
+    (3, 9, 0),  # ties on the left leg only: the arc nearest node 3, where the flow leaves
+    (3, 3, 7),  # the left leg ties with the shortcut's own bound: a bound flip
+    (4, 4, 3),  # the tie reaches the right leg: its arc nearest the apex R
+    (4, 9, 3),
+])
+def test_ratio_test_takes_the_last_blocking_arc_in_push_order(feeder_cap, shortcut_cap, leaving):
+    p = two_legs(feeder_cap, shortcut_cap)
+    state = nc.solve_lp(p, p.cost)
+    delta, k, cycle = state._cycle(7, 1)
+    assert cycle == [(2, -1), (1, -1), (0, -1), (7, 1), (5, -1), (4, -1), (3, -1)]
+    assert (delta, k) == (min(feeder_cap, shortcut_cap), leaving)
+    nc.pivot(state, nc.evaluate_fc_entering(state, p, 7))
+    assert state.status[leaving] == (nc.AT_UPPER if leaving == 7 else nc.AT_LOWER)
+    state.assert_valid_basis()
 
 
 # -- pivot ----------------------------------------------------------------------
@@ -468,10 +491,11 @@ def checked_exchanges(monkeypatch):
     sides = {"a": 0, "b": 0}
     apply = nc.SimplexState._apply
 
-    def checked(state, j, k, delta, dirn, path_a, path_b):
-        apply(state, j, k, delta, dirn, path_a, path_b)
+    def checked(state, j, k, delta, cycle):
+        apply(state, j, k, delta, cycle)
         if k != j:
-            sides["a" if any(e == k for e, _ in path_a) else "b"] += 1
+            arcs = [e for e, _ in cycle]
+            sides["a" if arcs.index(k) < arcs.index(j) else "b"] += 1
         full = state.copy()
         for name in LABELS:
             getattr(full, name)[:] = -7
@@ -542,13 +566,48 @@ def test_exchange_with_leaving_arc_off_the_cycle_is_refused():
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
     ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
               if ev.leaving != ev.entering)
-    on_cycle = {e for e, _ in ev._path_a + ev._path_b}
+    on_cycle = {e for e, _ in ev._cycle}
     off = int(next(e for e in np.flatnonzero(state.status == nc.IN_TREE) if e not in on_cycle))
     before = state.copy()
     with pytest.raises(nc.SimplexStalled):
         nc.pivot(state, dataclasses.replace(ev, leaving=off))
     for name in LABELS + ("flow", "status"):
         assert np.array_equal(getattr(state, name), getattr(before, name)), name
+    state.assert_valid_basis()
+
+
+def test_relabel_of_cyclic_basis_arcs_is_refused():
+    # a nonbasic arc added to the tree adjacency closes a cycle, round which
+    # the walk would run for ever
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    j = int(np.flatnonzero(state.status != nc.IN_TREE)[0])
+    state.tree_adj[int(state.tail[j])].append(j)
+    state.tree_adj[int(state.head[j])].append(j)
+    with pytest.raises(nc.SimplexStalled):
+        state._rebuild()
+
+
+def test_copy_shares_no_array_or_adjacency_list():
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    clone = state.copy()
+    arrays = [name for name, value in vars(state).items() if isinstance(value, np.ndarray)]
+    assert set(LABELS + ("flow", "status", "work")) <= set(arrays)
+    for name in arrays:
+        assert not np.shares_memory(getattr(clone, name), getattr(state, name)), name
+    assert not any(a is b for a, b in zip(clone.tree_adj, state.tree_adj))
+    snapshot = {name: getattr(state, name).copy() for name in arrays}
+    adjacency = [list(adj) for adj in state.tree_adj]
+    nc.reoptimize(clone, p.cost + p.fixed / 7.0)
+    for _ in range(10):
+        cand, delta, xoj, ok = nc.evaluate_all_entering(clone)
+        j = int(cand[np.argmin(np.where(ok, xoj, np.iinfo(np.int64).max))])
+        nc.pivot(clone, nc.evaluate_fc_entering(clone, p, j))
+    assert not np.array_equal(clone.flow, state.flow)
+    for name in arrays:
+        assert np.array_equal(getattr(state, name), snapshot[name]), name
+    assert state.tree_adj == adjacency
     state.assert_valid_basis()
 
 
