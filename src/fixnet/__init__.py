@@ -16,7 +16,6 @@ from .gits import (
 from .netcore import (
     ArcData,
     BadArcEndpoint,
-    BigMTooSmall,
     FixnetError,
     Infeasible,
     InfeasibleFlows,

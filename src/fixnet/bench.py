@@ -12,7 +12,6 @@ The FIXNET_CONFIG environment variable names a default key=value config file.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import os
@@ -22,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gits, oracle, probio
-from .netcore import BigMTooSmall, FixnetError, Infeasible, NetworkProblem
+from .netcore import FixnetError, Infeasible, NetworkProblem
 
 CSV_COLUMNS = [
     "instance",
@@ -151,9 +150,6 @@ def cmd_solve(args) -> int:
     params = _load_params(args)
     try:
         rec, result = _solve_record(Path(args.input).stem, problem, params)
-    except BigMTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
@@ -258,14 +254,16 @@ def _bench_one(path_str: str, params: gits.Params, use_oracle: bool, fc_limit: i
         return {"instance": name}, f"{name}: {exc}"
     try:
         rec, result = _solve_record(name, problem, params)
-    except (BigMTooSmall, Infeasible) as exc:
-        msg = f"infeasible ({exc})" if isinstance(exc, Infeasible) else str(exc)
+    except Infeasible as exc:
         return {"instance": name, "nodes": problem.node_count, "arcs": problem.arc_count}, \
-            f"{name}: {msg}"
+            f"{name}: infeasible ({exc})"
     if use_oracle:
         fc_arcs = int((problem.fixed > 0).sum())
         if fc_arcs <= fc_limit:
-            opt = oracle.brute_force_opt(problem, max_fc_arcs=fc_limit)
+            try:
+                opt = oracle.brute_force_opt(problem, max_fc_arcs=fc_limit)
+            except oracle.TooLarge as exc:
+                return rec, f"{name}: {exc}"
             rec["oracle_z"] = opt.optimum
             rec["z_ratio"] = (
                 result.best_value / opt.optimum if opt.optimum
@@ -288,20 +286,8 @@ def cmd_bench(args) -> int:
     files = sorted(str(p) for p in Path(args.directory).glob("*.fcnf"))
     rows = []
     errors = []
-    if args.threads and args.threads > 1 and files:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(
-                pool.map(
-                    _bench_one,
-                    files,
-                    [params] * len(files),
-                    [args.oracle] * len(files),
-                    [args.max_fc_arcs] * len(files),
-                )
-            )
-    else:
-        results = [_bench_one(f, params, args.oracle, args.max_fc_arcs) for f in files]
-    for rec, err in results:
+    for f in files:
+        rec, err = _bench_one(f, params, args.oracle, args.max_fc_arcs)
         rows.append(rec)
         if err:
             errors.append(err)
@@ -322,7 +308,7 @@ def cmd_oracle(args) -> int:
         return 2
     try:
         result = oracle.brute_force_opt(problem, max_fc_arcs=args.max_fc_arcs)
-    except (oracle.TooLarge, BigMTooSmall) as exc:
+    except oracle.TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Infeasible as exc:
@@ -373,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--oracle", action="store_true",
                          help="also run the exact oracle where it fits")
     p_bench.add_argument("--max-fc-arcs", type=int, default=20, dest="max_fc_arcs")
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="instance-level parallelism (default single-threaded)")
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -280,16 +280,6 @@ class GhostImageSearch:
         v_update(self.pen, self.xstar, self.params)
         self._record_global(set_gbest_iter=True)
 
-    def _ghost_reoptimize(self) -> None:
-        """Re-solve the penalized image. If closure-level penalties ever make
-        the artificial root arcs cheaper than every real route, the image has
-        stopped describing the instance; fall back to the plain relaxation
-        (always artificial-free, feasibility was proven at bootstrap)."""
-        try:
-            reoptimize(self.state, self.c_float + self.pen.p)
-        except netcore.Infeasible:
-            reoptimize(self.state, self.c_float)
-
     # -- bootstrap: initial LP, first penalties, first test solution ---------
 
     def _bootstrap(self) -> None:
@@ -320,7 +310,7 @@ class GhostImageSearch:
         self.pen = pen
         build_penalties(pen, self.F, self.bigm, prm.epsilon)
 
-        self._ghost_reoptimize()
+        reoptimize(self.state, self.c_float + pen.p)
         x1 = self.state.real_flows()
         xo1 = fc_objective(self.problem, x1)
         pen.num_sol = 1
@@ -367,14 +357,9 @@ class GhostImageSearch:
         while mem.inside_iter < prm.MaxIter and mem.inside_ok:
             mem.inside_iter += 1
             self.total_inside += 1
-            cand, delta, xoj, feas = netcore.evaluate_all_entering(state)
-            if cand.size:
-                allowed = feas & (
-                    (mem.tabu[cand] < mem.inside_iter) | (xoj < mem.aspire - self.xdd_val)
-                )
-                sel = np.nonzero(allowed)[0]
-            else:
-                sel = np.zeros(0, dtype=np.int64)
+            cand, _, xoj, _ = netcore.evaluate_all_entering(state)
+            allowed = (mem.tabu[cand] < mem.inside_iter) | (xoj < mem.aspire - self.xdd_val)
+            sel = np.nonzero(allowed)[0]
             if sel.size:
                 pos = sel[int(np.argmin(xoj[sel]))]
                 jstar = int(cand[pos])
@@ -396,7 +381,7 @@ class GhostImageSearch:
                         )
                     )
                 self.descend_step(ev)
-            # no admissible move: count the iteration, pivot nothing
+            # no allowed move: count the iteration, pivot nothing
             if mem.inside_iter - mem.last_inside_improve > prm.MaxInsideImprove:
                 mem.inside_ok = False
 
@@ -446,7 +431,7 @@ class GhostImageSearch:
                     self._v_update()
             else:
                 mem.tenure = prm.AscentTenure
-        if ev.leaving < self.m:  # artificial root arcs never re-enter anyway
+        if ev.leaving < self.m:  # artificial root arcs are never sweep candidates
             mem.tabu[ev.leaving] = mem.inside_iter + mem.tenure
 
     # -- penalty self-organization -------------------------------------------
@@ -497,7 +482,7 @@ class GhostImageSearch:
             v = np.floor(f * pen.u0[i])
             pen.v[i] = np.where(2 * counts > mx, v, np.maximum(v, 1.0))
         build_penalties(pen, self.F, self.bigm, prm.epsilon)
-        self._ghost_reoptimize()
+        reoptimize(self.state, self.c_float + pen.p)
         x = self.state.real_flows()
         self.xstar = x
         self.xstar_val = fc_objective(self.problem, x)
@@ -536,7 +521,7 @@ class GhostImageSearch:
                     if mem.no_luck == prm.BadLuck:
                         self.mini_diversify()
                 build_penalties(pen, self.F, self.bigm, prm.epsilon)
-                self._ghost_reoptimize()
+                reoptimize(self.state, self.c_float + pen.p)
                 xp = self.state.real_flows()
                 xo = fc_objective(self.problem, xp)
                 i = pen.fc_idx

@@ -3,10 +3,16 @@
 An instance is a set of read-only int64 arrays: supplies per node, and tail,
 head, unit cost, fixed charge and capacity per arc. Flows are 64-bit integers
 too; working costs are floats so that penalized cost vectors can be
-non-integral. The spanning-tree basis keeps strong feasibility (every
-degenerate tree arc points toward the root), which together with the
-last-blocking leaving rule makes every solve finite. Instance costs are
-integers, so all pivot-delta arithmetic is exact.
+non-integral. The basis is a spanning tree over the instance nodes and a
+virtual root, joined to every node by an artificial arc. `solve_lp` proves
+feasibility once and then caps the artificial arcs at zero, so no later cost
+vector can route flow through the root and every pivot on a cycle through
+it is degenerate. The last-blocking leaving rule keeps a strongly feasible
+tree (positive flow can reach the root from every node) strongly feasible,
+which rules out cycling; a pivot through the root leaves by a capped root
+arc and can break that property, so the pivot limit of `optimize` is the
+backstop. Instance costs are integers, so all pivot-delta arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -49,11 +55,6 @@ class Infeasible(FixnetError):
 
 class InfeasibleFlows(FixnetError):
     pass
-
-
-class BigMTooSmall(FixnetError):
-    """Artificial flow is left, but the artificial-arc cost is too small to
-    prove infeasibility: a real route may cost more than a detour via the root."""
 
 
 class StalePivotEval(FixnetError):
@@ -245,9 +246,10 @@ class SimplexState:
     """Basic feasible solution of the bounded network LP over an instance.
 
     The arc set is the instance's arcs followed by one artificial arc per node
-    into a virtual root; artificial arcs carry working cost BigM so they drain
-    to zero flow whenever the instance is feasible. Warm starts keep the basis
-    and swap the working cost vector.
+    into a virtual root. Artificial arcs start with the total supply as
+    capacity and BigM as cost; once `solve_lp` has drained them, their
+    capacity is zero and they only hold the tree together. Warm starts keep
+    the basis and swap the working cost vector.
     """
 
     def __init__(self, problem: NetworkProblem, costs):
@@ -524,18 +526,30 @@ class SimplexState:
 
 
 def solve_lp(problem: NetworkProblem, costs) -> SimplexState:
-    """Cold-start optimal basic solution of min costs.x over the flow polytope."""
+    """Cold-start optimal basic solution of min costs.x over the flow polytope.
+
+    The big-M start drains the artificial arcs whenever BigM dominates every
+    real route. When it leaves artificial flow, the basis is re-solved with
+    real arcs priced 0 and artificial arcs 1, which minimizes the artificial
+    flow exactly: flow still left proves infeasibility, otherwise the caller's
+    costs are re-solved with the artificial arcs capped at zero. Either way
+    the returned state has zero-capacity artificial arcs.
+    """
     validate(problem)
     state = SimplexState(problem, costs)
     state.optimize()
+    m = state.m
     if state.has_artificial_flow():
-        # a route of at most n - 1 arcs beats the 2 * bigm detour via the root
-        # only when the costs are below this bound; BIGM_CAP can break it
-        route = (state.n - 1) * float(np.max(np.abs(state.work[: state.m]), initial=0.0))
-        if 2 * state.bigm <= route:
-            raise BigMTooSmall(f"artificial flow is left, but big-M {state.bigm} is too small "
-                               f"to prove infeasibility against routes costing up to {route:.6g}")
-        raise Infeasible("no feasible flow meets all supplies")
+        state.work[m:] = 1.0
+        state.set_costs(np.zeros(m))
+        state.optimize()
+        if state.has_artificial_flow():
+            raise Infeasible("no feasible flow meets all supplies")
+        state.cap[m:] = 0
+        state.work[m:] = float(state.bigm)
+        state.set_costs(costs)
+        state.optimize()
+    state.cap[m:] = 0
     return state
 
 
@@ -543,8 +557,6 @@ def reoptimize(state: SimplexState, new_costs) -> SimplexState:
     """Re-optimize an existing basis after a cost change (warm start)."""
     state.set_costs(new_costs)
     state.optimize()
-    if state.has_artificial_flow():
-        raise Infeasible("no feasible flow meets all supplies")
     return state
 
 
@@ -601,24 +613,23 @@ def _meet(r1, d1, r2, d2):
 def evaluate_all_entering(state: SimplexState):
     """Fixed-charge sweep: a tentative full pivot of every nonbasic instance arc.
 
-    Returns (candidates, delta, objective_delta, admissible). Inadmissible
-    entries are moves that would push positive flow onto an artificial root
-    arc; their objective delta is reported as 0 and must not be pivoted.
-    Every delta, and every objective delta of an admissible entry, equals
-    evaluate_fc_entering's exactly.
+    Returns (candidates, delta, objective_delta, admissible). Every delta and
+    objective delta equals evaluate_fc_entering's exactly. `admissible` is
+    all True: once solve_lp has capped the artificial arcs at zero, a cycle
+    through the root is degenerate and no move can put flow on them.
 
     Cycles are answered by binary lifting over the basis tree. The arc
     pred[w] from node w to its parent has one set of values per cycle side:
     side a climbs from the node the flow leaves (flow runs parent -> w),
     side b from the node it re-enters (w -> parent). The values are the
     residual in the push direction, the charge released when the arc
-    decreases to that residual, the charge gained when it is increasing and
-    empty, and whether it is an increasing artificial arc. Level l of the
-    tables holds each node's 2^l-th ancestor and those values combined over
-    the 2^l arcs up to it: the residual minimum with the summed release
-    charges of the arcs attaining it, the gain sum and the artificial OR.
-    The root is its own ancestor and holds identity values. Flows change on
-    every pivot, so the tables are rebuilt on each call in O(n log depth).
+    decreases to that residual and the charge gained when it is increasing
+    and empty. Level l of the tables holds each node's 2^l-th ancestor and
+    those values combined over the 2^l arcs up to it: the residual minimum
+    with the summed release charges of the arcs attaining it, and the gain
+    sum. The root is its own ancestor and holds identity values. Flows
+    change on every pivot, so the tables are rebuilt on each call in
+    O(n log depth).
     A candidate's query takes O(log depth): it lifts the deeper endpoint to
     the other's depth and both to their common ancestor, then combines each
     side's path from the levels named by the bits of its length.
@@ -640,7 +651,6 @@ def evaluate_all_entering(state: SimplexState):
     up = tail[e] == np.arange(n)  # side a decreases the arc, side b increases it
     fe, ce, xe = flow[e], cap[e], fixed[e]
     empty = np.where(fe == 0, xe, 0)
-    art = e >= m
 
     def sides(a, b, identity):
         return np.concatenate([a, [identity], b, [identity]])
@@ -649,7 +659,6 @@ def evaluate_all_entering(state: SimplexState):
     res = [sides(np.where(up, fe, ce - fe), np.where(up, ce - fe, fe), _INT64_MAX)]
     rel = [sides(np.where(up, xe, 0), np.where(up, 0, xe), 0)]
     gain = [sides(np.where(up, 0, empty), np.where(up, empty, 0), 0)]
-    arti = [sides(~up & art, up & art, False)]
     for _ in range(1, max(1, int(depth.max()).bit_length())):
         a = anc[-1]
         nxt = np.concatenate([a, a + (n + 1)])
@@ -657,7 +666,6 @@ def evaluate_all_entering(state: SimplexState):
         res.append(r)
         rel.append(d)
         gain.append(gain[-1] + gain[-1][nxt])
-        arti.append(arti[-1] | arti[-1][nxt])
         anc.append(a[a])
 
     dirn = np.where(status[cand] == AT_LOWER, 1, -1).astype(np.int64)
@@ -685,26 +693,22 @@ def evaluate_all_entering(state: SimplexState):
     r = np.stack([cap[cand], np.full(k, _INT64_MAX)])  # the entering arc's own bound
     d = np.zeros((2, k), dtype=np.int64)
     g = np.zeros((2, k), dtype=np.int64)
-    f = np.zeros((2, k), dtype=bool)
     for level, a in enumerate(anc):
         move = (steps >> level) & 1 == 1
         idx = np.where(move, cur, root) + side
         r, d = _meet(r, d, res[level][idx], rel[level][idx])
         g += gain[level][idx]
-        f |= arti[level][idx]
         cur = np.where(move, a[cur], cur)
 
     delta, drop = _meet(r[0], d[0], r[1], d[1])
-    admissible = ~((f[0] | f[1]) & (delta > 0))
-    d_eff = np.where(admissible, delta, 0)
-    moved = d_eff > 0
+    moved = delta > 0
 
     fj = fixed[cand]
     gain_j = np.where(moved, g[0] + g[1], 0)
     gain_j += np.where((dirn > 0) & moved, fj, 0)
     drop_j = np.where(moved, drop, 0)
-    drop_j += np.where((dirn < 0) & moved & (d_eff == cap[cand]), fj, 0)
+    drop_j += np.where((dirn < 0) & moved & (delta == cap[cand]), fj, 0)
 
     rc = state.base_cost[cand] - state.pot_c[tail[cand]] + state.pot_c[head[cand]]
-    xoj = dirn * rc * d_eff + gain_j - drop_j
-    return cand, delta, xoj, admissible
+    xoj = dirn * rc * delta + gain_j - drop_j
+    return cand, delta, xoj, np.ones(k, dtype=bool)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .netcore import (
     FixnetError,
-    Infeasible,
     NetworkProblem,
     check_flows,
     fc_objective,
@@ -55,12 +54,14 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
     """Provably optimal solution via exhaustive open/closed pattern pricing.
 
     Closing an arc is realized by raising its cost to BigM, which keeps every
-    pattern LP warm-startable; a pattern whose LP still routes flow on a
-    closed arc merely prices a feasible (so valid, never better than optimal)
-    solution, and a pattern whose closure leaves artificial routing cheapest
-    is skipped outright (its real value can only exceed the optimum). Charges
-    follow actual flow, so an open arc left at zero pays nothing, and the
-    minimum over all patterns is the exact optimum.
+    pattern LP warm-startable. A pattern LP may still route flow on a closed
+    arc; it then prices a feasible solution, valid and never better than
+    optimal. BigM must exceed the summed |c_j| of the arcs with capacity:
+    then every cycle that opens a closed arc costs more than it saves, so the
+    pattern of an optimal flow's used arcs finds a flow at least as good, and
+    TooLarge is raised otherwise. Charges follow actual flow, so an open arc
+    left at zero pays nothing, and the minimum over all patterns is the exact
+    optimum.
     """
     validate(problem)
     fc = np.flatnonzero(problem.fixed > 0).tolist()
@@ -68,6 +69,9 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
         raise TooLarge(f"{len(fc)} charged arcs exceed the limit {max_fc_arcs}")
     base = problem.cost.astype(np.float64)
     state = solve_lp(problem, base)
+    if state.bigm <= sum(map(abs, problem.cost[problem.cap > 0].tolist())):
+        raise TooLarge(f"unit costs sum past the capped big-M {state.bigm}, "
+                       "so closing arcs by cost is unsound")
     bigm = float(state.bigm)
 
     flows = state.real_flows()
@@ -81,10 +85,7 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
         arc = fc[bit]
         costs[arc] = bigm if costs[arc] != bigm else base[arc]
         explored += 1
-        try:
-            reoptimize(state, costs)
-        except Infeasible:
-            continue  # closure priced worse than artificial routing
+        reoptimize(state, costs)
         flows = state.real_flows()
         val = fc_objective(problem, flows)
         if val < best_val:

@@ -103,38 +103,53 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert run_cli(["solve", str(path)]) == 3
 
 
-def path_of_costly_arcs(cost):
-    """Feasible path 1 -> 2 -> 3 carrying 5 units at `cost` per unit on each arc."""
-    return f"p fcnf 3 2\nn 1 5\nn 3 -5\na 1 2 0 10 {cost} 0\na 2 3 0 10 {cost} 0\n"
+def path_of_costly_arcs(cost, second_cap=10):
+    """Path 1 -> 2 -> 3 carrying 5 units at `cost` per unit on each arc; the
+    second arc has capacity `second_cap`, so the path is feasible from 5 on."""
+    return f"p fcnf 3 2\nn 1 5\nn 3 -5\na 1 2 0 10 {cost} 0\na 2 3 0 {second_cap} {cost} 0\n"
 
 
 @pytest.mark.parametrize("cmd", ["solve", "oracle"])
-@pytest.mark.parametrize("text,code", [
-    (path_of_costly_arcs(1_100_000_000_000), 2),  # routes outweigh the capped big-M
-    (path_of_costly_arcs(400_000_000_000), 0),
-    ("p fcnf 3 2\nn 1 5\nn 3 -5\na 1 2 0 10 3 0\na 2 3 0 4 3 0\n", 3),
-], ids=["bigm-too-small", "bigm-dominates", "infeasible"])
-def test_artificial_flow_exit_codes(tmp_path, capsys, cmd, text, code):
+@pytest.mark.parametrize("text,codes,value", [
+    # routes outweigh the capped big-M: the LP still solves, but closing arcs
+    # by cost in the oracle would be unsound
+    (path_of_costly_arcs(1_100_000_000_000), {"solve": 0, "oracle": 2}, 11_000_000_000_000),
+    (path_of_costly_arcs(1_100_000_000_000, 4), {"solve": 3, "oracle": 3}, None),
+    (path_of_costly_arcs(400_000_000_000), {"solve": 0, "oracle": 0}, 4_000_000_000_000),
+    (path_of_costly_arcs(3, 4), {"solve": 3, "oracle": 3}, None),
+], ids=["bigm-too-small", "bigm-too-small-infeasible", "bigm-dominates", "infeasible"])
+def test_artificial_flow_exit_codes(tmp_path, capsys, cmd, text, codes, value):
     path = tmp_path / "path.fcnf"
     path.write_text(text)
+    code = codes[cmd]
     assert run_cli([cmd, str(path)]) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith({0: "", 2: "error: ", 3: "infeasible: "}[code])
     if code == 0 and cmd == "solve":
-        assert Path(str(path) + ".sol").read_text().splitlines()[0] == "s 4000000000000"
+        lines = Path(str(path) + ".sol").read_text().splitlines()
+        assert lines[0] == f"s {value}"
+        flows = [int(line.split()[3]) for line in lines[1:]]
+        rep = oracle.check_solution(probio.parse_fcnf(text), flows)
+        assert rep.feasible and rep.objective == value
+    if code == 0 and cmd == "oracle":
+        assert f"optimum={value} " in out
 
 
 def test_bench_reports_bigm_too_small_as_error_row(tmp_path, capsys):
+    # the solve succeeds; only the oracle refuses the instance
     make_small_suite(tmp_path, count=1)
     (tmp_path / "costly.fcnf").write_text(path_of_costly_arcs(1_100_000_000_000))
     out = tmp_path / "res.csv"
-    assert run_cli(["bench", str(tmp_path), "--output", str(out)]) == 0
+    assert run_cli(["bench", str(tmp_path), "--oracle", "--output", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "error: costly: artificial flow is left" in err
+    assert err.startswith("error: costly: unit costs sum past the capped big-M")
     rows = read_csv(out.read_text())
     assert [r[0] for r in rows[1:]] == ["costly", "i0", "average"]
     assert rows[1][bench.CSV_COLUMNS.index("nodes")] == "3"
-    assert rows[1][bench.CSV_COLUMNS.index("best_z")] == ""
+    assert rows[1][bench.CSV_COLUMNS.index("best_z")] == "11000000000000"
+    assert rows[1][bench.CSV_COLUMNS.index("oracle_z")] == ""
+    assert rows[1][bench.CSV_COLUMNS.index("z_ratio")] == ""
+    assert rows[2][bench.CSV_COLUMNS.index("oracle_z")] != ""
 
 
 def test_solve_config_file_and_env(tmp_path, monkeypatch, two_node_file):
@@ -231,19 +246,6 @@ def test_bench_records_errors_and_continues(tmp_path, capsys):
     rows = read_csv(out.read_text())
     assert len(rows) == 1 + 3 + 1  # header, three instances, summary
     assert all(len(r) == len(bench.CSV_COLUMNS) for r in rows)
-
-
-def test_bench_threads_matches_serial(tmp_path):
-    make_small_suite(tmp_path, count=3)
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "par.csv"
-    assert run_cli(["bench", str(tmp_path), "--output", str(out1)]) == 0
-    assert run_cli(["bench", str(tmp_path), "--threads", "2", "--output", str(out2)]) == 0
-    strip = lambda text: [
-        [v for i, v in enumerate(row) if i != bench.CSV_COLUMNS.index("time_sec")]
-        for row in read_csv(text)
-    ]
-    assert strip(out1.read_text()) == strip(out2.read_text())
 
 
 # -- oracle subcommand -----------------------------------------------------------

@@ -418,19 +418,17 @@ def test_max_iter_one_attempts_at_most_one_pivot_per_loop():
 
 
 def test_inside_loop_survives_no_admissible_move(monkeypatch):
-    # every candidate inadmissible: iterations count, nothing pivots
+    # a sweep with no candidate: iterations count, nothing pivots
     prm = gits.Params(MaxIter=50, MaxInsideImprove=5)
     eng = bootstrapped_engine(params=prm)
     eng.phase1_restrict()
     pivots_before = eng.state.pivot_count
 
-    original = nc.evaluate_all_entering
+    def no_candidate(state):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, np.zeros(0, dtype=bool)
 
-    def all_blocked(state):
-        cand, delta, xoj, ok = original(state)
-        return cand, delta, xoj, np.zeros_like(ok)
-
-    monkeypatch.setattr(gits.netcore, "evaluate_all_entering", all_blocked)
+    monkeypatch.setattr(gits.netcore, "evaluate_all_entering", no_candidate)
     eng.inside_loop()
     assert eng.state.pivot_count == pivots_before
     assert eng.mem.inside_iter == prm.MaxInsideImprove + 1  # exits on the improve gap

@@ -141,6 +141,55 @@ def test_solve_lp_matches_ssp_oracle():
         state.assert_valid_basis()
 
 
+def costly_transport(seed):
+    """A 3x3 transportation instance whose unit costs reach 2.4e12, past the
+    2e12 detour via the root that the capped big-M prices."""
+    p = random_transport(np.random.default_rng(seed), 3, 3)
+    return nc.make_problem(p.supply, [(t, h, c * 3 * 10**11, f, u) for t, h, c, f, u in p.arcs])
+
+
+def assert_root_capped(state):
+    # root arcs: no capacity, no flow, and the same working cost on every path
+    assert np.all(state.cap[state.m:] == 0) and np.all(state.flow[state.m:] == 0)
+    assert np.all(state.work[state.m:] == state.bigm)
+    state.assert_valid_basis()
+
+
+def test_costly_routes_solve_through_the_exact_feasibility_proof():
+    fallbacks = 0
+    for seed in range(12):
+        p = costly_transport(seed)
+        start = nc.SimplexState(p, p.cost)
+        start.optimize()
+        fallbacks += start.has_artificial_flow()
+        feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), [
+            (a.tail, a.head, a.cost, a.capacity) for a in p.arcs])
+        try:
+            state = nc.solve_lp(p, p.cost)
+        except nc.Infeasible:
+            assert not feasible
+            continue
+        assert feasible
+        assert sum(int(c) * int(x) for c, x in zip(p.cost, state.real_flows())) == ref_cost
+        assert_root_capped(state)
+    assert fallbacks >= 3
+
+
+@pytest.mark.parametrize("make", [lambda: fctp_instance(), lambda: costly_transport(0)],
+                         ids=["fctp", "costly"])
+def test_root_arcs_stay_capped_when_every_real_arc_costs_more_than_bigm(make):
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    assert_root_capped(state)
+    costs = [int(c) + 10 * state.bigm for c in p.cost.tolist()]
+    nc.reoptimize(state, costs)
+    assert_root_capped(state)
+    feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), [
+        (t, h, c, u) for (t, h, _, _, u), c in zip(p.arcs, costs)])
+    assert feasible
+    assert sum(c * int(x) for c, x in zip(costs, state.real_flows())) == ref_cost
+
+
 # -- reoptimize ---------------------------------------------------------------
 
 
@@ -255,11 +304,10 @@ def test_evaluate_matches_pivot_recompute_everywhere():
             continue
         before = nc.fc_objective(p, state.real_flows())
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+        assert ok.all()
         for pos, j in enumerate(cand):
             ev = nc.evaluate_fc_entering(state, p, int(j))
             assert ev.delta == delta[pos]
-            if not ok[pos]:
-                continue
             assert ev.objective_delta == xoj[pos]
             clone = state.copy()
             nc.pivot(clone, ev)
@@ -275,17 +323,15 @@ def test_evaluate_matches_pivot_recompute_everywhere():
 
 def assert_sweep_matches_cycles(state, p):
     """Check the sweep on every nonbasic instance arc against
-    evaluate_fc_entering and against the admissibility rule read off the
-    cycle: inadmissible means the push is positive and increases an
-    artificial root arc."""
+    evaluate_fc_entering: equal deltas and objective deltas, every entry
+    admissible."""
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
     assert np.array_equal(cand, np.flatnonzero(state.status[: state.m] != nc.IN_TREE))
+    assert ok.all()
     for pos, j in enumerate(cand.tolist()):
         ev = nc.evaluate_fc_entering(state, p, j)
         assert delta[pos] == ev.delta
-        raises_artificial = any(e >= state.m and s > 0 for e, s in ev._cycle)
-        assert ok[pos] == (not (raises_artificial and ev.delta > 0))
-        assert xoj[pos] == (ev.objective_delta if ok[pos] else 0)
+        assert xoj[pos] == ev.objective_delta
     return cand, delta, xoj, ok
 
 
@@ -326,7 +372,7 @@ def test_sweep_matches_cycle_walk_on_deep_trees(depth):
     pivots = 0
     for _ in range(5):
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
-        moves = np.flatnonzero(ok & (delta > 0))
+        moves = np.flatnonzero(delta > 0)
         if not moves.size:
             break
         j = int(cand[moves[np.argmin(xoj[moves])]])
@@ -334,7 +380,8 @@ def test_sweep_matches_cycle_walk_on_deep_trees(depth):
         pivots += 1
         assert_sweep_matches_cycles(state, p)
     assert pivots == 5 or depth < 4
-    # the first pivots of a cold solve, while artificial arcs carry flow
+    # the first pivots of a cold solve, while uncapped artificial arcs carry
+    # flow: the sweep is exact on pushes that raise them too
     cold = nc.SimplexState(p, p.cost)
     for _ in range(depth):
         j = cold._price()
@@ -353,13 +400,12 @@ def test_sweep_on_fresh_all_artificial_state():
     state = nc.SimplexState(p, p.cost)
     assert int(state.depth.max()) == 1
     cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
-    # a positive push drains the artificial arcs at both ends only when it runs
-    # from a source into a sink; every other one fills an artificial arc
-    source = p.supply > 0
-    drains = source[p.tail[cand]] & (p.supply[p.head[cand]] < 0)
+    # before solve_lp caps them, positive pushes both drain and fill the
+    # artificial arcs, and the sweep prices either kind exactly
+    fills = [any(e >= state.m and s > 0 for e, s in state._cycle(j, 1)[2])
+             for j in cand.tolist()]
     pos = delta > 0
-    assert np.array_equal(ok[pos], drains[pos])
-    assert ok[pos].any() and not ok[pos].all()
+    assert pos.any() and {fills[i] for i in np.flatnonzero(pos)} == {True, False}
 
 
 def test_sweep_with_no_nonbasic_arc():

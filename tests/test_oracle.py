@@ -117,8 +117,8 @@ def test_oracle_rejects_oversized_instances():
 
 
 def test_oracle_handles_deep_chains_whose_closure_disconnects():
-    # closing all three chain arcs makes artificial routing the cheapest LP
-    # answer; the pattern must be skipped, not crash the enumeration
+    # closing all three chain arcs leaves no open route; the pattern LP must
+    # still route the chain at BigM, not crash the enumeration
     p = nc.make_problem(
         [5, 0, 0, -5],
         [(0, 1, 1, 10, 5), (1, 2, 1, 10, 5), (2, 3, 1, 10, 5)],
@@ -127,6 +127,31 @@ def test_oracle_handles_deep_chains_whose_closure_disconnects():
     assert res.subsets_explored == 8
     assert res.optimum == 15 + 30  # the single chain, all charges paid
     assert list(res.witness_flows) == [5, 5, 5]
+
+
+def test_oracle_refuses_costs_that_outweigh_the_capped_bigm():
+    # closed at the capped big-M 1e12, arc 0 still undercuts arc 1, so no
+    # pattern prices arc 1 alone: the enumeration would report 10000001000000
+    # as proven, while the optimum is 10000000000005
+    p = nc.make_problem([5, -5], [(0, 1, 2 * 10**12, 10**6, 10),
+                                  (0, 1, 2 * 10**12 + 1, 0, 10)])
+    with pytest.raises(oracle.TooLarge):
+        oracle.brute_force_opt(p)
+
+
+@pytest.mark.parametrize("arcs,refused", [
+    ([(0, 1, 10**12 - 1, 7, 10)], False),
+    ([(0, 1, 10**12, 7, 10)], True),
+    ([(0, 1, 10**12 - 1, 7, 10), (1, 0, 10**15, 0, 0)], False),  # no capacity, no detour
+], ids=["below", "equal", "uncapacitated-arc"])
+def test_oracle_bigm_must_exceed_the_summed_unit_costs(arcs, refused):
+    p = nc.make_problem([5, -5], arcs)
+    assert nc.default_bigm(p) == nc.BIGM_CAP
+    if refused:
+        with pytest.raises(oracle.TooLarge):
+            oracle.brute_force_opt(p)
+    else:
+        assert oracle.brute_force_opt(p).optimum == 5 * (10**12 - 1) + 7
 
 
 def test_oracle_matches_exhaustive_table_enumeration():
