@@ -293,6 +293,15 @@ class SimplexState:
 
         self.version = 0
         self.pivot_count = 0
+        # What the last pivot touched: (version it produced, root of the moved
+        # subtree or -1, endpoints of the tree path whose flows changed or
+        # None); read by the fixed-charge sweep.
+        self.last_pivot = None
+        # The sweep's (delta, objective delta) per instance arc, valid for the
+        # arcs that were nonbasic at sweep_version.
+        self.sweep_delta = np.zeros(m, dtype=np.int64)
+        self.sweep_xoj = np.zeros(m, dtype=np.int64)
+        self.sweep_version = -1
         self.set_costs(costs)
 
     # -- basis bookkeeping -------------------------------------------------
@@ -369,6 +378,14 @@ class SimplexState:
     def has_artificial_flow(self) -> bool:
         return bool(np.any(self.flow[self.m :] != 0))
 
+    def close_artificial_arcs(self) -> None:
+        """Cap the drained artificial arcs at zero. Ratio tests through the
+        root change with their capacity, so this starts a new version."""
+        if self.has_artificial_flow():
+            raise SimplexStalled("artificial arcs still carry flow")
+        self.cap[self.m :] = 0
+        self.version += 1
+
     def copy(self) -> "SimplexState":
         """Independent clone; the original is left untouched by pivots on the copy."""
         new = object.__new__(SimplexState)
@@ -432,10 +449,12 @@ class SimplexState:
 
         Dropping k cuts off the endpoint of j on k's side of the cycle; it is
         hung below the other endpoint p through j, and only the moved subtree
-        is relabelled.
+        is relabelled. Flows change on the cycle, which in the new basis is k
+        plus the tree path between k's endpoints (k is j on a bound flip).
         """
         flow, status = self.flow, self.status
         dirn = 1 if status[j] == AT_LOWER else -1
+        moved = -1
         if k != j:
             arcs = [e for e, _ in cycle]
             if k not in arcs:
@@ -445,6 +464,7 @@ class SimplexState:
                 na, nb = nb, na
             # p: the endpoint of j still joined to the root once k is dropped
             p = nb if arcs.index(k) < arcs.index(j) else na
+            moved = na + nb - p
         if delta:
             for e, s in cycle:
                 flow[e] += s * delta
@@ -466,6 +486,8 @@ class SimplexState:
             self._hang(p, (j,))
         self.version += 1
         self.pivot_count += 1
+        ends = (int(self.tail[k]), int(self.head[k])) if delta else None
+        self.last_pivot = (self.version, moved, ends)
 
     def optimize(self) -> int:
         """Pivot until no working-cost violation remains; returns pivots done."""
@@ -545,11 +567,11 @@ def solve_lp(problem: NetworkProblem, costs) -> SimplexState:
         state.optimize()
         if state.has_artificial_flow():
             raise Infeasible("no feasible flow meets all supplies")
-        state.cap[m:] = 0
+        state.close_artificial_arcs()
         state.work[m:] = float(state.bigm)
         state.set_costs(costs)
         state.optimize()
-    state.cap[m:] = 0
+    state.close_artificial_arcs()
     return state
 
 
@@ -618,33 +640,101 @@ def evaluate_all_entering(state: SimplexState):
     all True: once solve_lp has capped the artificial arcs at zero, a cycle
     through the root is degenerate and no move can put flow on them.
 
-    Cycles are answered by binary lifting over the basis tree. The arc
-    pred[w] from node w to its parent has one set of values per cycle side:
-    side a climbs from the node the flow leaves (flow runs parent -> w),
-    side b from the node it re-enters (w -> parent). The values are the
-    residual in the push direction, the charge released when the arc
-    decreases to that residual and the charge gained when it is increasing
-    and empty. Level l of the tables holds each node's 2^l-th ancestor and
-    those values combined over the 2^l arcs up to it: the residual minimum
-    with the summed release charges of the arcs attaining it, and the gain
-    sum. The root is its own ancestor and holds identity values. Flows
-    change on every pivot, so the tables are rebuilt on each call in
-    O(n log depth).
-    A candidate's query takes O(log depth): it lifts the deeper endpoint to
+    Answers are kept on the state per arc with the version they belong to.
+    At that version they are returned as they are. One pivot later only the
+    candidates `_touched` names are answered again; after any other version
+    jump every candidate is. The answers read neither `work` nor
+    `pot_work`, so `set_costs` leaves them valid. The returned arrays are
+    new on each call.
+    """
+    cand = np.flatnonzero(state.status[: state.m] != IN_TREE)
+    if state.sweep_version != state.version:
+        anc = _ancestor_tables(state)
+        redo = cand
+        last = state.last_pivot
+        if last is not None and last[0] == state.version == state.sweep_version + 1:
+            redo = cand[_touched(state, anc, cand)]
+        if redo.size:
+            state.sweep_delta[redo], state.sweep_xoj[redo] = _answer(state, anc, redo)
+        state.sweep_version = state.version
+    return cand, state.sweep_delta[cand], state.sweep_xoj[cand], np.ones(cand.size, dtype=bool)
+
+
+def _ancestor_tables(state: SimplexState) -> list:
+    """Level l holds each node's 2^l-th ancestor, the root being its own, for
+    every level below the bit length of the tree depth."""
+    anc = [np.append(state.parent[: state.n], state.root)]
+    for _ in range(1, max(1, int(state.depth.max()).bit_length())):
+        a = anc[-1]
+        anc.append(a[a])
+    return anc
+
+
+def _touched(state: SimplexState, anc: list, cand: np.ndarray) -> np.ndarray:
+    """Mask of the candidates whose answer the last pivot may have changed.
+
+    A candidate's answer reads its tree path, the flows on it and the
+    `pot_c` difference of its endpoints. A pivot keeps every tree path
+    between two nodes on one side of the cut it makes, shifts `pot_c` on the
+    moved subtree T by one constant and changes flows only on the leaving
+    arc and the tree path between its endpoints. So an answer can change
+    only for an arc with one endpoint in T, an arc whose path shares an arc
+    with the changed path, and the leaving arc. When flows changed, the
+    changed path holds the entering arc, which every path across the cut
+    crosses, and it is the leaving arc's own path; on a degenerate exchange
+    the leaving arc straddles the cut. So the test is on the changed path
+    when there is one, else on the cut, and the leaving arc always passes.
+
+    The changed path splits at its apex into chains A and B. Each node
+    counts the chain-A nodes and |A| + 1 times the chain-B nodes among its
+    ancestors-or-self, by pointer jumping over `anc`. A path shares an arc
+    with a chain iff that chain's count differs between its endpoints, and
+    a chain's count is at most its length, so iff the packed count does.
+    Without a changed path the only node counted is T's root, so the count
+    is 1 in T and 0 elsewhere.
+    """
+    _, moved, ends = state.last_pivot
+    count = np.zeros(state.n + 1, dtype=np.int64)
+    if ends is not None:
+        parent, depth = state.parent, state.depth
+        a, b = ends
+        chain_a, chain_b = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                chain_a.append(a)
+                a = int(parent[a])
+            else:
+                chain_b.append(b)
+                b = int(parent[b])
+        count[chain_a] = 1
+        count[chain_b] = len(chain_a) + 1
+    elif moved >= 0:
+        count[moved] = 1
+    for a in anc:
+        count += count[a]
+    return count[state.tail[cand]] != count[state.head[cand]]
+
+
+def _answer(state: SimplexState, anc: list, cand: np.ndarray):
+    """(delta, objective delta) of the given nonbasic arcs, by binary lifting.
+
+    The arc pred[w] from node w to its parent has one set of values per
+    cycle side: side a climbs from the node the flow leaves (flow runs
+    parent -> w), side b from the node it re-enters (w -> parent). The
+    values are the residual in the push direction, the charge released when
+    the arc decreases to that residual and the charge gained when it is
+    increasing and empty. Level l of the tables combines them over the 2^l
+    arcs from each node up to anc[l]: the residual minimum with the summed
+    release charges of the arcs attaining it, and the gain sum. The root
+    holds identity values. Building them takes O(n log depth); a
+    candidate's query takes O(log depth): it lifts the deeper endpoint to
     the other's depth and both to their common ancestor, then combines each
     side's path from the levels named by the bits of its length.
     """
-    m = state.m
-    status = state.status
-    cand = np.nonzero(status[:m] != IN_TREE)[0]
-    k = cand.size
-    if k == 0:
-        zi = np.zeros(0, dtype=np.int64)
-        return cand, zi, zi.copy(), np.zeros(0, dtype=bool)
-
-    tail, head = state.tail, state.head
+    status, tail, head = state.status, state.tail, state.head
     cap, flow, fixed = state.cap, state.flow, state.fixed
     n, root, depth = state.n, state.root, state.depth
+    k = cand.size
 
     # Level 0, flattened as side a at [0, n] and side b at [n + 1, 2n + 1].
     e = state.pred_arc[:n]
@@ -655,18 +745,15 @@ def evaluate_all_entering(state: SimplexState):
     def sides(a, b, identity):
         return np.concatenate([a, [identity], b, [identity]])
 
-    anc = [np.append(state.parent[:n], root)]
     res = [sides(np.where(up, fe, ce - fe), np.where(up, ce - fe, fe), _INT64_MAX)]
     rel = [sides(np.where(up, xe, 0), np.where(up, 0, xe), 0)]
     gain = [sides(np.where(up, 0, empty), np.where(up, empty, 0), 0)]
-    for _ in range(1, max(1, int(depth.max()).bit_length())):
-        a = anc[-1]
+    for a in anc[:-1]:
         nxt = np.concatenate([a, a + (n + 1)])
         r, d = _meet(res[-1], rel[-1], res[-1][nxt], rel[-1][nxt])
         res.append(r)
         rel.append(d)
         gain.append(gain[-1] + gain[-1][nxt])
-        anc.append(a[a])
 
     dirn = np.where(status[cand] == AT_LOWER, 1, -1).astype(np.int64)
     cur = np.where(dirn > 0, [tail[cand], head[cand]], [head[cand], tail[cand]])
@@ -710,5 +797,4 @@ def evaluate_all_entering(state: SimplexState):
     drop_j += np.where((dirn < 0) & moved & (delta == cap[cand]), fj, 0)
 
     rc = state.base_cost[cand] - state.pot_c[tail[cand]] + state.pot_c[head[cand]]
-    xoj = dirn * rc * delta + gain_j - drop_j
-    return cand, delta, xoj, np.ones(k, dtype=bool)
+    return delta, dirn * rc * delta + gain_j - drop_j

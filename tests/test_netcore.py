@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -677,6 +678,185 @@ def test_valid_basis_checks_tree_labels(name, node, value):
     getattr(state, name)[i] = value
     with pytest.raises(nc.SimplexStalled):
         state.assert_valid_basis()
+
+
+# -- kept sweep answers ---------------------------------------------------------------
+
+
+def assert_sweep_is_fresh(state):
+    """The sweep with the state's kept answers must equal a from-scratch sweep
+    of a copy whose kept answers were dropped, and evaluate_fc_entering on
+    every candidate."""
+    fresh = state.copy()
+    fresh.sweep_version = -1
+    want = nc.evaluate_all_entering(fresh)
+    got = assert_sweep_matches_cycles(state, state.problem)
+    for name, a, b in zip(("candidates", "delta", "objective delta", "admissible"), got, want):
+        assert np.array_equal(a, b), name
+
+
+@pytest.fixture
+def checked_sweeps(monkeypatch):
+    """Sweep after every pivot, so that each sweep is one pivot past the kept
+    answers, and check it with assert_sweep_is_fresh. Returns counts of the
+    pivot kinds seen."""
+    seen = collections.Counter()
+    apply = nc.SimplexState._apply
+
+    def checked(state, j, k, delta, cycle):
+        kept = state.sweep_version == state.version
+        apply(state, j, k, delta, cycle)
+        if k == j:
+            seen["flip"] += 1
+        else:
+            arcs = [e for e, _ in cycle]
+            seen["a" if arcs.index(k) < arcs.index(j) else "b"] += 1
+            seen["degenerate"] += delta == 0
+            seen["root leaves"] += k >= state.m
+        seen["one past"] += kept
+        assert_sweep_is_fresh(state)
+
+    monkeypatch.setattr(nc.SimplexState, "_apply", checked)
+    return seen
+
+
+@pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
+def test_kept_sweep_is_exact_through_cold_solves_and_warm_starts(checked_sweeps, make):
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
+    for kind in ("a", "b", "flip", "degenerate", "root leaves", "one past"):
+        assert checked_sweeps[kind] > 0, kind
+
+
+def test_kept_sweep_is_exact_through_fc_pivots(checked_sweeps):
+    # the search's own moves, with degenerate exchanges among them
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost + 0.37)
+    checked_sweeps.clear()
+    rng = np.random.default_rng(12)
+    for step in range(60):
+        cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+        pos = int(np.argmin(xoj)) if step % 3 else int(rng.integers(cand.size))
+        nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pos])))
+    for kind in ("a", "b", "degenerate"):
+        assert checked_sweeps[kind] > 0, kind
+    assert checked_sweeps["one past"] == 60
+
+
+def test_kept_sweep_is_exact_on_deep_trees(checked_sweeps):
+    p = rail_ladder(33)
+    nc.solve_lp(p, p.cost)
+    assert checked_sweeps["a"] + checked_sweeps["b"] >= 33
+
+
+def test_second_sweep_without_a_pivot_answers_nothing_again(monkeypatch):
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    answered = []  # candidates answered per sweep of `state`, not of its copies
+    answer = nc._answer
+    monkeypatch.setattr(nc, "_answer", lambda st, anc, cand: (
+        st is state and answered.append(cand.size)) or answer(st, anc, cand))
+    first = nc.evaluate_all_entering(state)
+    assert answered == [first[0].size]
+    first[1][:] = -1  # the caller's arrays are its own
+    first[2][:] = -1
+    second = assert_sweep_matches_cycles(state, p)
+    assert answered == [first[0].size]
+    # unchanged costs: set_costs relabels, no pivot, the kept answers stay
+    nc.reoptimize(state, p.cost)
+    assert_sweep_is_fresh(state)
+    assert answered == [first[0].size]
+    # one pivot later only the touched candidates are answered again
+    cand, delta, xoj, _ = second
+    nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+    assert_sweep_is_fresh(state)
+    assert 0 < answered[1] < first[0].size
+
+
+def test_sweep_after_reoptimize_answers_every_candidate(monkeypatch):
+    p = netgen_instance()
+    state = nc.solve_lp(p, p.cost)
+    nc.evaluate_all_entering(state)
+    before = state.version
+    nc.reoptimize(state, p.cost + p.fixed / 3.0)
+    assert state.version > before + 1
+    answered = []
+    answer = nc._answer
+    monkeypatch.setattr(nc, "_answer", lambda st, anc, cand: (
+        st is state and answered.append(cand.size)) or answer(st, anc, cand))
+    assert_sweep_is_fresh(state)
+    assert answered[0] == np.count_nonzero(state.status[: state.m] != nc.IN_TREE)
+
+
+def test_copy_pivoted_differently_keeps_its_own_sweep():
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost + 0.37)
+    cand, delta, xoj, _ = nc.evaluate_all_entering(state)
+    clone = state.copy()
+    order = np.argsort(xoj, kind="stable")
+    nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[order[0]])))
+    nc.pivot(clone, nc.evaluate_fc_entering(clone, p, int(cand[order[-1]])))
+    for _ in range(5):
+        for s in (state, clone):
+            assert_sweep_is_fresh(s)
+            c, _, x, _ = nc.evaluate_all_entering(s)
+            nc.pivot(s, nc.evaluate_fc_entering(s, p, int(c[np.argmin(x)])))
+    assert not np.array_equal(state.flow, clone.flow)
+    assert_sweep_is_fresh(state)
+    assert_sweep_is_fresh(clone)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+def test_kept_sweep_is_exact_on_random_pivot_sequences(seed, netgen, picks):
+    # every pick sweeps, then pivots on a candidate it names, re-solves under
+    # new costs (a jump of several versions) or pivots nothing (a kept sweep)
+    rng = np.random.default_rng(seed)
+    if netgen:
+        p = probio.generate_netgen_fc(probio.NetgenFcSpec(
+            nodes=10, source_count=3, sink_count=3, arc_count=36, total_supply=40,
+            cap_range=(5, 30), seed=seed))
+    else:
+        p = random_transport(rng, 3, 4, fmax=30, cap_lo=2, cap_hi=9)
+    try:
+        state = nc.solve_lp(p, p.cost)
+    except nc.Infeasible:
+        return
+    for pick in picks:
+        assert_sweep_is_fresh(state)
+        cand = np.flatnonzero(state.status[: state.m] != nc.IN_TREE)
+        if pick % 8 == 0:
+            nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 20.0, size=p.arc_count))
+        elif pick % 8 != 1 and cand.size:
+            nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pick % cand.size])))
+    assert_sweep_is_fresh(state)
+    state.assert_valid_basis()
+
+
+def test_capping_the_root_arcs_drops_the_kept_sweep():
+    # source 0, sink 1, transshipment nodes 2 and 3, whose artificial arcs
+    # point away from the root and stay in the optimal tree at flow 0: before
+    # the cap a push can raise one of them, after it the push is degenerate
+    p = nc.make_problem([2, -2, 0, 0], [
+        (3, 0, 3, 5, 9), (2, 0, 7, 5, 9), (0, 1, 4, 5, 9), (0, 2, 3, 5, 9),
+    ])
+    state = nc.SimplexState(p, p.cost)
+    with pytest.raises(nc.SimplexStalled):
+        state.close_artificial_arcs()
+    state.optimize()
+    assert not state.has_artificial_flow()
+    assert_sweep_is_fresh(state)
+    cand, before, _, _ = nc.evaluate_all_entering(state)
+    stale = nc.evaluate_fc_entering(state, p, int(cand[np.flatnonzero(before)[0]]))
+    state.close_artificial_arcs()
+    assert_sweep_is_fresh(state)
+    assert not np.array_equal(before, nc.evaluate_all_entering(state)[1])
+    with pytest.raises(nc.StalePivotEval):
+        nc.pivot(state, stale)
 
 
 # -- solver invariants ------------------------------------------------------------
