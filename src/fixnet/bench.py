@@ -143,11 +143,11 @@ def _solve_record(name: str, problem: NetworkProblem, params: gits.Params):
 
 def cmd_solve(args) -> int:
     try:
+        params = _load_params(args)
         problem = probio.parse_fcnf(Path(args.input).read_text())
     except (OSError, FixnetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    params = _load_params(args)
     try:
         rec, result = _solve_record(Path(args.input).stem, problem, params)
     except Infeasible as exc:
@@ -282,7 +282,11 @@ def _summary_row(rows):
 
 
 def cmd_bench(args) -> int:
-    params = _load_params(args)
+    try:
+        params = _load_params(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     files = sorted(str(p) for p in Path(args.directory).glob("*.fcnf"))
     rows = []
     errors = []

@@ -69,6 +69,8 @@ class Params:
         ):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.MaxOutsideIter is not None and int(self.MaxOutsideIter) < 0:
+            raise ValueError("MaxOutsideIter must be a non-negative integer")
         if abs(self.Alpha1 + self.Alpha2 + self.Alpha3 - 1.0) > 1e-9:
             raise ValueError("Alpha1 + Alpha2 + Alpha3 must equal 1")
         if not 0.0 <= self.Beta <= 1.0:
@@ -151,6 +153,11 @@ class Penalties:
     fc_idx: np.ndarray
     num_sol: int = 0
 
+    def raise_u0(self, flows: np.ndarray) -> None:
+        """Raise the per-arc max-flow proxies to the charged arcs' flows."""
+        i = self.fc_idx
+        self.u0[i] = np.maximum(self.u0[i], flows[i])
+
 
 @dataclass
 class SearchMemory:
@@ -171,11 +178,9 @@ class SearchMemory:
     last_inside_improve: int = 0
     tenure: int = 0
     aspire: int = 0
-    v_iter: int = 0
     descent: bool = True
     improve: bool = False
     inside_ok: bool = True
-    outside_ok: bool = False
 
     @classmethod
     def fresh(cls, arc_count: int, params: Params) -> "SearchMemory":
@@ -185,7 +190,6 @@ class SearchMemory:
             sum_zero=np.zeros(arc_count, dtype=np.int64),
             zero_now=np.zeros(arc_count, dtype=bool),
             tenure=params.TabuTenure,
-            v_iter=params.MaxIter // 4,
         )
 
 
@@ -280,6 +284,38 @@ class GhostImageSearch:
         v_update(self.pen, self.xstar, self.params)
         self._record_global(set_gbest_iter=True)
 
+    def _keep_if_better(self, inside_iter: int) -> bool:
+        """Take the current flows as the local best when they improve on it,
+        dating the improvement at inside_iter; returns whether they did."""
+        if self.xdd_val >= self.xstar_val:
+            return False
+        self.mem.improve = True
+        self.mem.last_inside_improve = inside_iter
+        self.xstar_val = self.xdd_val
+        self.xstar = self.state.real_flows()
+        self._v_update()
+        return True
+
+    # -- the ghost image: LP(p) under the current penalties ------------------
+
+    def ghost_resolve(self, force: bool = False) -> None:
+        """Re-solve LP(p) from the current basis under penalties built from v.
+
+        The flows raise the proxies u0, become the local best when they
+        improve on it (always when forced) and give the current zero pattern.
+        """
+        pen = self.pen
+        build_penalties(pen, self.F, self.bigm, self.params.epsilon)
+        reoptimize(self.state, self.c_float + pen.p)
+        x = self.state.real_flows()
+        xo = fc_objective(self.problem, x)
+        pen.raise_u0(x)
+        if force or xo < self.xstar_val:
+            self.xstar_val = xo
+            self.xstar = x
+            self._v_update()
+        self.mem.zero_now = (x == 0) & self.fc_mask
+
     # -- bootstrap: initial LP, first penalties, first test solution ---------
 
     def _bootstrap(self) -> None:
@@ -297,49 +333,30 @@ class GhostImageSearch:
         self.trace = []
 
         i = self.fc_idx
-        u_o = int(x[i].max()) if i.size else 0
-        pen = Penalties(
+        self.pen = Penalties(
             v=self.U.astype(np.float64),
             p=np.zeros(self.m, dtype=np.float64),
             mean=self.U.astype(np.float64),
-            u_o=u_o,
-            u0=np.zeros(self.m, dtype=np.int64),
+            u_o=int(x[i].max()) if i.size else 0,
+            u0=np.where(self.fc_mask, x, 0),
             fc_idx=i,
+            num_sol=1,
         )
-        pen.u0[i] = x[i]
-        self.pen = pen
-        build_penalties(pen, self.F, self.bigm, prm.epsilon)
-
-        reoptimize(self.state, self.c_float + pen.p)
-        x1 = self.state.real_flows()
-        xo1 = fc_objective(self.problem, x1)
-        pen.num_sol = 1
-        pen.u0[i] = np.maximum(pen.u0[i], x1[i])
-        if xo1 < self.xstar_val:
-            self.xstar_val = xo1
-            self.xstar = x1
-            mem.descent = True
-            self._v_update()
-        mem.zero_now = (x1 == 0) & self.fc_mask
-        mem.first = 0
+        self.ghost_resolve()
         mem.ring[0] = mem.zero_now
         mem.sum_zero = mem.zero_now.astype(np.int64)
-        mem.outside_ok = True
 
     # -- phase I: restriction refinement -------------------------------------
 
     def phase1_restrict(self) -> np.ndarray:
         """Pin the currently-zero charged arcs at zero cost-wise and re-optimize."""
-        mem, pen = self.mem, self.pen
+        mem = self.mem
         costs = self.c_float + np.where(mem.zero_now, float(self.bigm), 0.0)
         reoptimize(self.state, costs)
         x = self.state.real_flows()
         self.xdd_val = fc_objective(self.problem, x)
-        if self.xdd_val < self.xstar_val:
-            mem.descent = True
-        if mem.jiter <= mem.v_iter:
-            i = pen.fc_idx
-            pen.u0[i] = np.maximum(pen.u0[i], x[i])
+        if mem.jiter <= self.params.MaxIter // 4:
+            self.pen.raise_u0(x)
         return x
 
     # -- phase II: inside loop -----------------------------------------------
@@ -389,9 +406,7 @@ class GhostImageSearch:
         """Apply the chosen pivot and refresh the per-arc max-flow proxies."""
         netcore.pivot(self.state, ev)
         self.xdd_val += ev.objective_delta
-        i = self.pen.fc_idx
-        f = self.state.flow[: self.m]
-        self.pen.u0[i] = np.maximum(self.pen.u0[i], f[i])
+        self.pen.raise_u0(self.state.flow)
 
     def descend_step(self, ev: netcore.PivotEval) -> None:
         """One move: descent while deltas improve, then a single tabu ascent phase.
@@ -408,12 +423,7 @@ class GhostImageSearch:
             else:
                 mem.descent = False
                 mem.tenure = prm.AscentTenure
-                if self.xdd_val < self.xstar_val:
-                    mem.improve = True
-                    mem.last_inside_improve = mem.inside_iter - 1
-                    self.xstar_val = self.xdd_val
-                    self.xstar = self.state.real_flows()
-                    self._v_update()
+                self._keep_if_better(mem.inside_iter - 1)
                 if not prm.DoTabu:
                     mem.inside_ok = False
                     return
@@ -422,13 +432,8 @@ class GhostImageSearch:
             self.pivot_jstar(ev)
             if ev.objective_delta < 0:
                 mem.tenure = prm.DescentTenure
-                if self.xdd_val < self.xstar_val:
-                    mem.improve = True
-                    mem.last_inside_improve = mem.inside_iter
-                    self.xstar_val = self.xdd_val
-                    self.xstar = self.state.real_flows()
+                if self._keep_if_better(mem.inside_iter):
                     mem.aspire = self.xstar_val
-                    self._v_update()
             else:
                 mem.tenure = prm.AscentTenure
         if ev.leaving < self.m:  # artificial root arcs are never sweep candidates
@@ -481,14 +486,7 @@ class GhostImageSearch:
             f = counts / mx if mx > 0 else np.zeros(i.size, dtype=np.float64)
             v = np.floor(f * pen.u0[i])
             pen.v[i] = np.where(2 * counts > mx, v, np.maximum(v, 1.0))
-        build_penalties(pen, self.F, self.bigm, prm.epsilon)
-        reoptimize(self.state, self.c_float + pen.p)
-        x = self.state.real_flows()
-        self.xstar = x
-        self.xstar_val = fc_objective(self.problem, x)
-        pen.u0[i] = np.maximum(pen.u0[i], x[i])
-        mem.zero_now = (x == 0) & self.fc_mask
-        self._v_update()
+        self.ghost_resolve(force=True)
         mem.first = 0
         mem.ring[:] = False
         mem.ring[0] = mem.zero_now
@@ -501,36 +499,23 @@ class GhostImageSearch:
         t0 = time.perf_counter()
         prm = self.params
         self._bootstrap()
-        mem, pen = self.mem, self.pen
+        mem = self.mem
         try:
-            while mem.outside_ok:
+            while mem.jiter <= self._max_outside:
                 if prm.TimeLimit is not None and time.perf_counter() - t0 > prm.TimeLimit:
                     break
                 self.phase1_restrict()
                 self.inside_loop()
                 mem.jiter += 1
-                if mem.jiter > self._max_outside:
-                    mem.outside_ok = False
                 if mem.improve:
                     mem.no_luck = 0
                 else:
                     mem.no_luck += 1
                     if mem.no_luck == prm.OutOfLuck:
-                        mem.outside_ok = False
                         break
                     if mem.no_luck == prm.BadLuck:
                         self.mini_diversify()
-                build_penalties(pen, self.F, self.bigm, prm.epsilon)
-                reoptimize(self.state, self.c_float + pen.p)
-                xp = self.state.real_flows()
-                xo = fc_objective(self.problem, xp)
-                i = pen.fc_idx
-                pen.u0[i] = np.maximum(pen.u0[i], xp[i])
-                if xo < self.xstar_val:
-                    self.xstar_val = xo
-                    self.xstar = xp
-                    self._v_update()
-                mem.zero_now = (xp == 0) & self.fc_mask
+                self.ghost_resolve()
                 self.dup_check()
         except _StopSearch:
             pass

@@ -284,7 +284,6 @@ class SimplexState:
         self.pred_arc = np.full(n + 1, -1, dtype=np.int64)
         self.depth = np.zeros(n + 1, dtype=np.int64)
         self.pot_work = np.zeros(n + 1, dtype=np.float64)
-        self.pot_c = np.zeros(n + 1, dtype=np.int64)
         self.tree_adj = [[] for _ in range(n + 1)]
         for i in range(n):
             j = m + i
@@ -317,28 +316,26 @@ class SimplexState:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        """Recompute labels, depths and both potential vectors from the tree arcs."""
+        """Recompute labels, depths and working potentials from the tree arcs."""
         root = self.root
         self.parent[root] = -1
         self.pred_arc[root] = -1
         self.depth[root] = 0
         self.pot_work[root] = 0.0
-        self.pot_c[root] = 0
         if self._hang(root, self.tree_adj[root]) != self.n:
             raise SimplexStalled("basis arcs do not span every node")
 
     def _hang(self, u: int, arcs) -> int:
         """Label every node reached from u across the given tree arcs of u.
 
-        Each node takes its parent, pred arc, depth and both potentials from
+        Each node takes its parent, pred arc, depth and working potential from
         its parent, so the labels equal a full walk from the root bit for bit
-        whenever u's own labels do. Returns the number of nodes labelled;
-        more than n means the tree arcs hold a cycle, round which the walk
-        would run for ever, and raises SimplexStalled.
+        whenever u's own labels do. Returns the number of nodes labelled; more
+        than n means the tree arcs hold a cycle, round which the walk would
+        run for ever, and raises SimplexStalled.
         """
-        parent, pred, depth = self.parent, self.pred_arc, self.depth
-        pw, pc = self.pot_work, self.pot_c
-        tail, head, work, basec = self.tail, self.head, self.work, self.base_cost
+        parent, pred, depth, pw = self.parent, self.pred_arc, self.depth, self.pot_work
+        tail, head, work = self.tail, self.head, self.work
         adj = self.tree_adj
         n = self.n
         stack = []
@@ -347,7 +344,6 @@ class SimplexState:
             pe = pred[u]
             du = depth[u] + 1
             pwu = pw[u]
-            pcu = pc[u]
             for a in arcs:
                 if a == pe:
                     continue
@@ -358,10 +354,8 @@ class SimplexState:
                 depth[v] = du
                 if t == v:
                     pw[v] = work[a] + pwu
-                    pc[v] = basec[a] + pcu
                 else:
                     pw[v] = pwu - work[a]
-                    pc[v] = pcu - basec[a]
                 stack.append(v)
             if not stack:
                 return count
@@ -524,8 +518,7 @@ class SimplexState:
         if np.any(net != expect):
             raise SimplexStalled("flow conservation violated")
         root, parent, pred, depth = self.root, self.parent, self.pred_arc, self.depth
-        if (parent[root], pred[root], depth[root], self.pot_work[root], self.pot_c[root]) \
-                != (-1, -1, 0, 0.0, 0):
+        if (parent[root], pred[root], depth[root], self.pot_work[root]) != (-1, -1, 0, 0.0):
             raise SimplexStalled("root labels are not the root's")
         u, e = parent[:n], pred[:n]
         if np.any((u < 0) | (u > n)) or np.any((e < 0) | (e >= self.E)):
@@ -537,13 +530,12 @@ class SimplexState:
             raise SimplexStalled("pred arc is not a tree arc to the parent")
         if np.any(depth[:n] != depth[u] + 1):
             raise SimplexStalled("depth is not the parent's plus one")
+        # Each tree arc's potentials differ by one rounded float operation in
+        # _hang, so its reduced cost is zero to a few ulps of its terms.
         tree = np.nonzero(self.status == IN_TREE)[0]
-        pc = self.pot_c
-        if np.any(self.base_cost[tree] - pc[self.tail[tree]] + pc[self.head[tree]]):
-            raise SimplexStalled("tree arc with nonzero integer reduced cost")
-        rc = self.work[tree] - self.pot_work[self.tail[tree]] + self.pot_work[self.head[tree]]
-        scale = max(1.0, float(np.max(np.abs(self.work)))) if self.E else 1.0
-        if np.any(np.abs(rc) > 1e-6 * scale):
+        w, pt, ph = self.work[tree], self.pot_work[self.tail[tree]], self.pot_work[self.head[tree]]
+        ulps = 4 * np.finfo(np.float64).eps * (np.abs(w) + np.abs(pt) + np.abs(ph))
+        if np.any(np.abs(w - pt + ph) > ulps):
             raise SimplexStalled("tree arc with nonzero reduced cost")
 
 
@@ -598,21 +590,21 @@ def evaluate_fc_entering(state: SimplexState, problem: NetworkProblem, j: int) -
     dirn = 1 if state.status[j] == AT_LOWER else -1
     delta, k, cycle = state._cycle(j, dirn)
 
-    rc = (state.base_cost[j] - state.pot_c[state.tail[j]] + state.pot_c[state.head[j]]).item()
-    charge = 0
+    objective_delta = 0
     if delta > 0:
-        flow, fixed = state.flow, state.fixed
+        flow, fixed, basec = state.flow, state.fixed, state.base_cost
         for e, s in cycle:
+            objective_delta += s * int(basec[e]) * delta
             if s > 0:
                 if flow[e] == 0:
-                    charge += int(fixed[e])
+                    objective_delta += int(fixed[e])
             elif flow[e] == delta:
-                charge -= int(fixed[e])
+                objective_delta -= int(fixed[e])
     return PivotEval(
         entering=j,
         leaving=k,
         delta=delta,
-        objective_delta=(rc if dirn > 0 else -rc) * delta + charge,
+        objective_delta=objective_delta,
         _cycle=cycle,
         _version=state.version,
     )
@@ -643,9 +635,9 @@ def evaluate_all_entering(state: SimplexState):
     Answers are kept on the state per arc with the version they belong to.
     At that version they are returned as they are. One pivot later only the
     candidates `_touched` names are answered again; after any other version
-    jump every candidate is. The answers read neither `work` nor
-    `pot_work`, so `set_costs` leaves them valid. The returned arrays are
-    new on each call.
+    jump every candidate is. The answers read neither `work` nor `pot_work`
+    but exact potentials derived from the instance costs, so `set_costs`
+    leaves them valid. The returned arrays are new on each call.
     """
     cand = np.flatnonzero(state.status[: state.m] != IN_TREE)
     if state.sweep_version != state.version:
@@ -670,24 +662,31 @@ def _ancestor_tables(state: SimplexState) -> list:
     return anc
 
 
+def _root_path_sums(anc: list, values: np.ndarray) -> np.ndarray:
+    """Add to each node's value, in place, those of all its ancestors by
+    pointer jumping over `anc`; the root's value must be 0."""
+    for a in anc:
+        values += values[a]
+    return values
+
+
 def _touched(state: SimplexState, anc: list, cand: np.ndarray) -> np.ndarray:
     """Mask of the candidates whose answer the last pivot may have changed.
 
-    A candidate's answer reads its tree path, the flows on it and the
-    `pot_c` difference of its endpoints. A pivot keeps every tree path
-    between two nodes on one side of the cut it makes, shifts `pot_c` on the
-    moved subtree T by one constant and changes flows only on the leaving
-    arc and the tree path between its endpoints. So an answer can change
-    only for an arc with one endpoint in T, an arc whose path shares an arc
-    with the changed path, and the leaving arc. When flows changed, the
-    changed path holds the entering arc, which every path across the cut
-    crosses, and it is the leaving arc's own path; on a degenerate exchange
+    A candidate's answer reads its tree path and the costs and flows on it.
+    A pivot keeps every tree path between two nodes on one side of the cut
+    it makes and changes flows only on the leaving arc and the tree path
+    between its endpoints. So an answer can change only for an arc with one
+    endpoint in the moved subtree T, an arc whose path shares an arc with
+    the changed path, and the leaving arc. When flows changed, the changed
+    path holds the entering arc, which every path across the cut crosses,
+    and it is the leaving arc's own path; on a degenerate exchange
     the leaving arc straddles the cut. So the test is on the changed path
     when there is one, else on the cut, and the leaving arc always passes.
 
     The changed path splits at its apex into chains A and B. Each node
     counts the chain-A nodes and |A| + 1 times the chain-B nodes among its
-    ancestors-or-self, by pointer jumping over `anc`. A path shares an arc
+    ancestors-or-self, by `_root_path_sums`. A path shares an arc
     with a chain iff that chain's count differs between its endpoints, and
     a chain's count is at most its length, so iff the packed count does.
     Without a changed path the only node counted is T's root, so the count
@@ -710,8 +709,7 @@ def _touched(state: SimplexState, anc: list, cand: np.ndarray) -> np.ndarray:
         count[chain_b] = len(chain_a) + 1
     elif moved >= 0:
         count[moved] = 1
-    for a in anc:
-        count += count[a]
+    _root_path_sums(anc, count)
     return count[state.tail[cand]] != count[state.head[cand]]
 
 
@@ -729,16 +727,19 @@ def _answer(state: SimplexState, anc: list, cand: np.ndarray):
     holds identity values. Building them takes O(n log depth); a
     candidate's query takes O(log depth): it lifts the deeper endpoint to
     the other's depth and both to their common ancestor, then combines each
-    side's path from the levels named by the bits of its length.
+    side's path from the levels named by the bits of its length. The
+    linear term reads exact potentials of the instance costs: root-path
+    sums of the tree arcs' signed costs.
     """
     status, tail, head = state.status, state.tail, state.head
-    cap, flow, fixed = state.cap, state.flow, state.fixed
+    cap, flow, fixed, basec = state.cap, state.flow, state.fixed, state.base_cost
     n, root, depth = state.n, state.root, state.depth
     k = cand.size
 
     # Level 0, flattened as side a at [0, n] and side b at [n + 1, 2n + 1].
     e = state.pred_arc[:n]
     up = tail[e] == np.arange(n)  # side a decreases the arc, side b increases it
+    pot = _root_path_sums(anc, np.append(np.where(up, basec[e], -basec[e]), 0))
     fe, ce, xe = flow[e], cap[e], fixed[e]
     empty = np.where(fe == 0, xe, 0)
 
@@ -796,5 +797,5 @@ def _answer(state: SimplexState, anc: list, cand: np.ndarray):
     drop_j = np.where(moved, drop, 0)
     drop_j += np.where((dirn < 0) & moved & (delta == cap[cand]), fj, 0)
 
-    rc = state.base_cost[cand] - state.pot_c[tail[cand]] + state.pot_c[head[cand]]
+    rc = basec[cand] - pot[tail[cand]] + pot[head[cand]]
     return delta, dirn * rc * delta + gain_j - drop_j

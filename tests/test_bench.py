@@ -162,6 +162,36 @@ def test_solve_config_file_and_env(tmp_path, monkeypatch, two_node_file):
     assert int(rows[1][bench.CSV_COLUMNS.index("passes")]) <= 2
 
 
+@pytest.mark.parametrize("cmd", ["solve", "bench"])
+@pytest.mark.parametrize("case", ["unknown-param", "out-of-range-param", "bad-config-line",
+                                  "missing-env-config"])
+def test_bad_parameter_input_exit_code(tmp_path, monkeypatch, capsys, two_node_file, cmd, case):
+    target = str(two_node_file) if cmd == "solve" else str(tmp_path)
+    argv = [cmd, target]
+    if case == "unknown-param":
+        argv += ["--param", "Nope=1"]
+    elif case == "out-of-range-param":
+        argv += ["--param", "MaxIter=0"]
+    elif case == "bad-config-line":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("MaxPass 2\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("FIXNET_CONFIG", str(tmp_path / "missing.cfg"))
+    assert run_cli(argv + ["--output", str(tmp_path / "rec.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert not (tmp_path / "rec.csv").exists()
+    assert not Path(str(two_node_file) + ".sol").exists()
+
+
+def test_solve_time_limit_zero_writes_a_solution(two_node_file, tmp_path):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["solve", str(two_node_file), "--time-limit", "0", "--output", str(out)]) == 0
+    assert read_csv(out.read_text())[1][bench.CSV_COLUMNS.index("best_z")] == "115"
+    assert Path(str(two_node_file) + ".sol").read_text().splitlines() == ["s 115", "f 1 2 5"]
+
+
 # -- generate -----------------------------------------------------------------
 
 

@@ -51,6 +51,8 @@ def test_params_validation():
         gits.Params(Alpha1=0.5, Alpha2=0.5, Alpha3=0.5)
     with pytest.raises(ValueError):
         gits.Params(sLim=0)
+    with pytest.raises(ValueError):
+        gits.Params(MaxOutsideIter=-1)
 
 
 def test_params_config_round_trip():
@@ -457,6 +459,23 @@ def test_run_diagonal_instance_finds_ten():
 def test_run_out_of_luck_one_stops_after_one_outside_iteration():
     # with no charges the first inside loop cannot improve on the LP optimum
     res = gits.run(zero_fc_instance(9), gits.Params(OutOfLuck=1))
+    assert res.outside_iters == 1
+
+
+def exits_instance():
+    return probio.generate_fctp(probio.FctpSpec(6, 6, 600, fc_count=12, seed=9006))
+
+
+def test_run_time_limit_zero_returns_the_bootstrap_best():
+    p = exits_instance()
+    res = gits.run(p, gits.Params(TimeLimit=0.0))
+    assert (res.outside_iters, res.inside_iters) == (0, 0)
+    rep = oracle.check_solution(p, res.best_flows)
+    assert rep.feasible and rep.objective == res.best_value == 3012
+
+
+def test_run_max_outside_iter_zero_runs_one_outside_iteration():
+    res = gits.run(exits_instance(), gits.Params(MaxOutsideIter=0))
     assert res.outside_iters == 1
 
 

@@ -527,7 +527,7 @@ def test_pivot_objective_delta_applies_exactly():
 
 # -- incremental tree labels --------------------------------------------------------
 
-LABELS = ("parent", "pred_arc", "depth", "pot_c", "pot_work")
+LABELS = ("parent", "pred_arc", "depth", "pot_work")
 
 
 @pytest.fixture
@@ -659,9 +659,9 @@ def test_copy_shares_no_array_or_adjacency_list():
 
 
 @pytest.mark.parametrize("name,node,value", [
-    ("parent", "root", 0), ("pot_c", "root", 1), ("pot_work", "root", 0.5),
+    ("parent", "root", 0), ("pot_work", "root", 0.5),
     ("depth", "leaf", 0), ("parent", "leaf", "grandparent"), ("pred_arc", "leaf", "nonbasic"),
-    ("pot_c", "leaf", "plus one"),
+    ("pot_work", "leaf", "1e-7 max work off"),
 ])
 def test_valid_basis_checks_tree_labels(name, node, value):
     p = fctp_instance()
@@ -673,8 +673,9 @@ def test_valid_basis_checks_tree_labels(name, node, value):
         value = state.parent[state.parent[leaf]]
     elif value == "nonbasic":
         value = int(np.flatnonzero(state.status != nc.IN_TREE)[0])
-    elif value == "plus one":
-        value = state.pot_c[leaf] + 1
+    elif value == "1e-7 max work off":
+        # a tenth of a 1e-6 * max|work| tolerance, far above float rounding
+        value = state.pot_work[leaf] + 1e-7 * np.max(np.abs(state.work))
     getattr(state, name)[i] = value
     with pytest.raises(nc.SimplexStalled):
         state.assert_valid_basis()
