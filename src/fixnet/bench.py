@@ -284,6 +284,8 @@ def _summary_row(rows):
 def cmd_bench(args) -> int:
     try:
         params = _load_params(args)
+        if not Path(args.directory).is_dir():
+            raise NotADirectoryError(f"{args.directory} is not a directory")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ patterns trigger frequency-based diversification.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -75,6 +76,11 @@ class Params:
             raise ValueError("Alpha1 + Alpha2 + Alpha3 must equal 1")
         if not 0.0 <= self.Beta <= 1.0:
             raise ValueError("Beta must lie in [0, 1]")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError("epsilon must be a positive finite number")
+        if self.TimeLimit is not None and not (
+                math.isfinite(self.TimeLimit) and self.TimeLimit >= 0.0):
+            raise ValueError("TimeLimit must be a non-negative finite number of seconds")
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}

@@ -293,13 +293,15 @@ class SimplexState:
         self.version = 0
         self.pivot_count = 0
         # What the last pivot touched: (version it produced, root of the moved
-        # subtree or -1, endpoints of the tree path whose flows changed or
-        # None); read by the fixed-charge sweep.
+        # subtree or -1, leaving arc, flow change, arcs of its cycle); read by
+        # the fixed-charge sweep.
         self.last_pivot = None
-        # The sweep's (delta, objective delta) per instance arc, valid for the
-        # arcs that were nonbasic at sweep_version.
+        # The sweep's (delta, objective delta) per instance arc, and for a
+        # delta of 0 an arc that blocks it, valid for the arcs that were
+        # nonbasic at sweep_version.
         self.sweep_delta = np.zeros(m, dtype=np.int64)
         self.sweep_xoj = np.zeros(m, dtype=np.int64)
+        self.sweep_witness = np.zeros(m, dtype=np.int64)
         self.sweep_version = -1
         self.set_costs(costs)
 
@@ -449,8 +451,8 @@ class SimplexState:
         flow, status = self.flow, self.status
         dirn = 1 if status[j] == AT_LOWER else -1
         moved = -1
+        arcs = [e for e, _ in cycle]
         if k != j:
-            arcs = [e for e, _ in cycle]
             if k not in arcs:
                 raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
             na, nb = int(self.tail[j]), int(self.head[j])
@@ -480,8 +482,7 @@ class SimplexState:
             self._hang(p, (j,))
         self.version += 1
         self.pivot_count += 1
-        ends = (int(self.tail[k]), int(self.head[k])) if delta else None
-        self.last_pivot = (self.version, moved, ends)
+        self.last_pivot = (self.version, moved, k, delta, arcs)
 
     def optimize(self) -> int:
         """Pivot until no working-cost violation remains; returns pivots done."""
@@ -621,7 +622,7 @@ def pivot(state: SimplexState, ev: PivotEval) -> SimplexState:
 def _meet(r1, d1, r2, d2):
     """(min residual, summed release charges of the arcs attaining it) of two paths."""
     r = np.minimum(r1, r2)
-    return r, np.where(r1 == r, d1, 0) + np.where(r2 == r, d2, 0)
+    return r, (r1 == r) * d1 + (r2 == r) * d2
 
 
 def evaluate_all_entering(state: SimplexState):
@@ -632,46 +633,54 @@ def evaluate_all_entering(state: SimplexState):
     all True: once solve_lp has capped the artificial arcs at zero, a cycle
     through the root is degenerate and no move can put flow on them.
 
-    Answers are kept on the state per arc with the version they belong to.
-    At that version they are returned as they are. One pivot later only the
-    candidates `_touched` names are answered again; after any other version
-    jump every candidate is. The answers read neither `work` nor `pot_work`
-    but exact potentials derived from the instance costs, so `set_costs`
-    leaves them valid. The returned arrays are new on each call.
+    Answers are kept on the state per arc with the version they belong to,
+    a degenerate one with a witness: an arc of its cycle with no residual
+    in the push direction. At that version they are returned as they are.
+    One pivot later only the candidates `_touched` names are answered again;
+    after any other version jump every candidate is. The answers read
+    neither `work` nor `pot_work` but exact potentials derived from the
+    instance costs, so `set_costs` leaves them valid. The returned arrays
+    are new on each call.
     """
     cand = np.flatnonzero(state.status[: state.m] != IN_TREE)
     if state.sweep_version != state.version:
-        anc = _ancestor_tables(state)
+        jump = _jump_tables(state)
         redo = cand
         last = state.last_pivot
         if last is not None and last[0] == state.version == state.sweep_version + 1:
-            redo = cand[_touched(state, anc, cand)]
+            redo = _touched(state, jump, cand)
         if redo.size:
-            state.sweep_delta[redo], state.sweep_xoj[redo] = _answer(state, anc, redo)
+            state.sweep_delta[redo], state.sweep_xoj[redo], state.sweep_witness[redo] = (
+                _answer(state, jump, redo))
         state.sweep_version = state.version
     return cand, state.sweep_delta[cand], state.sweep_xoj[cand], np.ones(cand.size, dtype=bool)
 
 
-def _ancestor_tables(state: SimplexState) -> list:
-    """Level l holds each node's 2^l-th ancestor, the root being its own, for
-    every level below the bit length of the tree depth."""
-    anc = [np.append(state.parent[: state.n], state.root)]
+def _jump_tables(state: SimplexState) -> list:
+    """Level l maps each node to its 2^l-th ancestor, the root being its own,
+    for every level below the bit length of the tree depth. The nodes are
+    listed twice, once per cycle side: side a at [0, n] (the node indices
+    themselves) and side b at [n + 1, 2n + 1], each mapped into its own half."""
+    n1 = state.n + 1
+    a = np.concatenate([state.parent, state.parent + n1])
+    a[n1 - 1 :: n1] = (n1 - 1, 2 * n1 - 1)  # each root is its own ancestor
+    jump = [a]
     for _ in range(1, max(1, int(state.depth.max()).bit_length())):
-        a = anc[-1]
-        anc.append(a[a])
-    return anc
+        a = jump[-1]
+        jump.append(a[a])
+    return jump
 
 
-def _root_path_sums(anc: list, values: np.ndarray) -> np.ndarray:
+def _root_path_sums(jump: list, values: np.ndarray) -> np.ndarray:
     """Add to each node's value, in place, those of all its ancestors by
-    pointer jumping over `anc`; the root's value must be 0."""
-    for a in anc:
-        values += values[a]
+    pointer jumping over side a of `jump`; the root's value must be 0."""
+    for a in jump:
+        values += values[a[: values.size]]
     return values
 
 
-def _touched(state: SimplexState, anc: list, cand: np.ndarray) -> np.ndarray:
-    """Mask of the candidates whose answer the last pivot may have changed.
+def _touched(state: SimplexState, jump: list, cand: np.ndarray) -> np.ndarray:
+    """The candidates to answer again one pivot past the kept answers.
 
     A candidate's answer reads its tree path and the costs and flows on it.
     A pivot keeps every tree path between two nodes on one side of the cut
@@ -691,12 +700,22 @@ def _touched(state: SimplexState, anc: list, cand: np.ndarray) -> np.ndarray:
     a chain's count is at most its length, so iff the packed count does.
     Without a changed path the only node counted is T's root, so the count
     is 1 in T and 0 elsewhere.
+
+    Of the candidates this test passes, one whose kept answer is degenerate
+    keeps it while its witness is off the pivot's cycle C. The new cycle of
+    a candidate c is its old one minus a multiple of the entering arc's, so
+    coefficients change only on C; flows change only on C too. A witness
+    off C is still on c's cycle, in the same direction, at the same flow,
+    and blocks c at 0. The leaving arc's kept entries date from before it
+    last entered the tree, or on a bound flip from before its direction
+    turned, so it is always answered again.
     """
-    _, moved, ends = state.last_pivot
+    _, moved, k, delta, arcs = state.last_pivot
+    tail, head = state.tail, state.head
     count = np.zeros(state.n + 1, dtype=np.int64)
-    if ends is not None:
+    if delta:
         parent, depth = state.parent, state.depth
-        a, b = ends
+        a, b = int(tail[k]), int(head[k])
         chain_a, chain_b = [], []
         while a != b:
             if depth[a] >= depth[b]:
@@ -709,93 +728,115 @@ def _touched(state: SimplexState, anc: list, cand: np.ndarray) -> np.ndarray:
         count[chain_b] = len(chain_a) + 1
     elif moved >= 0:
         count[moved] = 1
-    _root_path_sums(anc, count)
-    return count[state.tail[cand]] != count[state.head[cand]]
+    _root_path_sums(jump, count)
+    redo = cand[count[tail[cand]] != count[head[cand]]]
+    on_cycle = np.zeros(state.E, dtype=bool)
+    on_cycle[arcs] = True
+    again = on_cycle[state.sweep_witness[redo]] | (state.sweep_delta[redo] != 0)
+    return redo[again | (redo == k)]
 
 
-def _answer(state: SimplexState, anc: list, cand: np.ndarray):
-    """(delta, objective delta) of the given nonbasic arcs, by binary lifting.
+def _apex(jump: list, depth: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Common ancestor of each column's two nodes: lift the deeper by the
+    depth difference, jump both to just below their common ancestor, then
+    take the last step."""
+    lift = depth[ends]
+    lift -= np.minimum(lift[0], lift[1])
+    x = ends
+    for level, a in enumerate(jump):
+        x = np.where(lift & (1 << level), a[x], x)
+    for a in reversed(jump):
+        ax = a[x]
+        x = np.where(ax[0] != ax[1], ax, x)
+    return np.where(x[0] != x[1], jump[0][x[0]], x[0])
 
-    The arc pred[w] from node w to its parent has one set of values per
-    cycle side: side a climbs from the node the flow leaves (flow runs
-    parent -> w), side b from the node it re-enters (w -> parent). The
-    values are the residual in the push direction, the charge released when
-    the arc decreases to that residual and the charge gained when it is
-    increasing and empty. Level l of the tables combines them over the 2^l
-    arcs from each node up to anc[l]: the residual minimum with the summed
-    release charges of the arcs attaining it, and the gain sum. The root
-    holds identity values. Building them takes O(n log depth); a
-    candidate's query takes O(log depth): it lifts the deeper endpoint to
-    the other's depth and both to their common ancestor, then combines each
-    side's path from the levels named by the bits of its length. The
-    linear term reads exact potentials of the instance costs: root-path
-    sums of the tree arcs' signed costs.
+
+def _answer(state: SimplexState, jump: list, cand: np.ndarray):
+    """(delta, objective delta, witness) of the given nonbasic arcs, by
+    binary lifting.
+
+    Each candidate's cycle climbs on side a from the node the flow leaves
+    (flow runs parent -> w on the arc pred[w] from node w to its parent)
+    and on side b from the node it re-enters (w -> parent) to their common
+    ancestor, which `_apex` finds first on the jump tables alone. The bit
+    length of the longest side path sets how many levels the value tables
+    need.
+
+    The arc pred[w] has one set of values per side, stored at w in that
+    side's half of the flattened tables: the residual in the push
+    direction, the charge released when the arc decreases to that residual
+    and the charge gained when it is increasing and empty. Level l of the
+    tables combines them over the 2^l arcs from each node up to its 2^l-th
+    ancestor: the residual minimum with the summed release charges of the
+    arcs attaining it, and the gain sum. The roots hold identity values.
+    Both sides' paths are combined at once from the levels named by the
+    bits of their lengths, starting from the entering arc's own bound on
+    side a; a side that does not move at a level reads its root.
+
+    The witness of a degenerate answer is the candidate itself when its
+    capacity is 0, else the pred arc of the nearest zero-residual node on
+    side a's path, or failing that on side b's; the nearest zero-residual
+    node at or above each node comes from pointer jumping. The linear term
+    reads exact potentials of the instance costs: root-path sums of the
+    tree arcs' signed costs.
     """
-    status, tail, head = state.status, state.tail, state.head
+    status, tail, head, depth = state.status, state.tail, state.head, state.depth
     cap, flow, fixed, basec = state.cap, state.flow, state.fixed, state.base_cost
-    n, root, depth = state.n, state.root, state.depth
-    k = cand.size
+    n1 = state.n + 1
+    side = np.array([[0], [n1]])  # where each side's half starts
+    roots = side + state.root
 
-    # Level 0, flattened as side a at [0, n] and side b at [n + 1, 2n + 1].
-    e = state.pred_arc[:n]
-    up = tail[e] == np.arange(n)  # side a decreases the arc, side b increases it
-    pot = _root_path_sums(anc, np.append(np.where(up, basec[e], -basec[e]), 0))
-    fe, ce, xe = flow[e], cap[e], fixed[e]
-    empty = np.where(fe == 0, xe, 0)
+    lower = status[cand] == AT_LOWER
+    tc, hc = tail[cand], head[cand]
+    leave = np.where(lower, tc, hc)
+    ends = np.array((leave, tc + hc - leave))
+    apex = _apex(jump, depth, ends)
+    steps = depth[ends] - depth[apex]
+    levels = int(steps.max()).bit_length()
 
-    def sides(a, b, identity):
-        return np.concatenate([a, [identity], b, [identity]])
-
-    res = [sides(np.where(up, fe, ce - fe), np.where(up, ce - fe, fe), _INT64_MAX)]
-    rel = [sides(np.where(up, xe, 0), np.where(up, 0, xe), 0)]
-    gain = [sides(np.where(up, 0, empty), np.where(up, empty, 0), 0)]
-    for a in anc[:-1]:
-        nxt = np.concatenate([a, a + (n + 1)])
-        r, d = _meet(res[-1], rel[-1], res[-1][nxt], rel[-1][nxt])
+    # Level 0: per node, the pred arc's values on side a, then on side b.
+    e = state.pred_arc  # the root's entries are garbage until reset below
+    up = tail[e] != state.parent  # side a decreases the arc, side b increases it
+    both = np.concatenate([e, e])
+    down = np.concatenate([up, ~up])
+    f, c, xe = flow[both], cap[both], fixed[both]
+    res = [np.where(down, f, c - f)]
+    rel = [down * xe]
+    gain = [((f == 0) & ~down) * xe]
+    res[0][n1 - 1 :: n1] = _INT64_MAX
+    rel[0][n1 - 1 :: n1] = 0
+    gain[0][n1 - 1 :: n1] = 0
+    for a in jump[: levels - 1]:
+        r, d = _meet(res[-1], rel[-1], res[-1][a], rel[-1][a])
         res.append(r)
         rel.append(d)
-        gain.append(gain[-1] + gain[-1][nxt])
+        gain.append(gain[-1] + gain[-1][a])
+    # nearest zero-residual node at or above each node, within 2^levels - 1 steps
+    nearest = np.where(res[0] == 0, np.arange(2 * n1), jump[0])
+    for _ in range(levels):
+        nearest = nearest[nearest]
 
-    dirn = np.where(status[cand] == AT_LOWER, 1, -1).astype(np.int64)
-    cur = np.where(dirn > 0, [tail[cand], head[cand]], [head[cand], tail[cand]])
-
-    # Common ancestor: lift the deeper endpoint by the depth difference, jump
-    # both to just below their common ancestor, then take the last step.
-    dd = depth[cur[0]] - depth[cur[1]]
-    x = np.where(dd > 0, cur[0], cur[1])
-    y = np.where(dd > 0, cur[1], cur[0])
-    dd = np.abs(dd)
-    for level, a in enumerate(anc):
-        x = np.where((dd >> level) & 1 == 1, a[x], x)
-    for a in reversed(anc):
-        ax, ay = a[x], a[y]
-        move = ax != ay
-        x = np.where(move, ax, x)
-        y = np.where(move, ay, y)
-    apex = np.where(x != y, anc[0][x], x)
-
-    # Both sides' paths to it at once, by the bits of their lengths; a side
-    # that does not move at a level reads the root's identity values.
-    steps = depth[cur] - depth[apex]
-    side = np.array([[0], [n + 1]])
-    r = np.stack([cap[cand], np.full(k, _INT64_MAX)])  # the entering arc's own bound
-    d = np.zeros((2, k), dtype=np.int64)
-    g = np.zeros((2, k), dtype=np.int64)
-    for level, a in enumerate(anc):
-        move = (steps >> level) & 1 == 1
-        idx = np.where(move, cur, root) + side
+    capc, fj = cap[cand], fixed[cand]
+    gain_j = lower * fj  # gained when pushed up from 0
+    r = np.array((capc, np.full(cand.size, _INT64_MAX)))
+    d = np.array((fj - gain_j, np.zeros(cand.size, dtype=np.int64)))  # released at 0
+    g = np.zeros((2, cand.size), dtype=np.int64)
+    start = cur = ends + side
+    for level, a in enumerate(jump[:levels]):
+        move = steps & (1 << level)
+        idx = np.where(move, cur, roots)
         r, d = _meet(r, d, res[level][idx], rel[level][idx])
         g += gain[level][idx]
         cur = np.where(move, a[cur], cur)
-
     delta, drop = _meet(r[0], d[0], r[1], d[1])
-    moved = delta > 0
 
-    fj = fixed[cand]
-    gain_j = np.where(moved, g[0] + g[1], 0)
-    gain_j += np.where((dirn > 0) & moved, fj, 0)
-    drop_j = np.where(moved, drop, 0)
-    drop_j += np.where((dirn < 0) & moved & (delta == cap[cand]), fj, 0)
+    signed = np.where(up, basec[e], -basec[e])
+    signed[-1] = 0
+    pot = _root_path_sums(jump, signed)
+    rc = basec[cand] - pot[tc] + pot[hc]
+    xoj = np.where(lower, rc, -rc) * delta + (delta > 0) * (g[0] + g[1] + gain_j - drop)
 
-    rc = basec[cand] - pot[tail[cand]] + pot[head[cand]]
-    return delta, dirn * rc * delta + gain_j - drop_j
+    block = nearest[start]
+    node = np.where(depth[block[0]] > depth[apex], block[0], block[1] - n1)
+    witness = np.where(capc == 0, cand, state.pred_arc[node])
+    return delta, xoj, witness

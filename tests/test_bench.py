@@ -185,6 +185,17 @@ def test_bad_parameter_input_exit_code(tmp_path, monkeypatch, capsys, two_node_f
     assert not Path(str(two_node_file) + ".sol").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_solve_rejects_a_time_limit_that_is_not_a_finite_budget(two_node_file, tmp_path,
+                                                                capsys, value):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["solve", str(two_node_file), "--time-limit", value,
+                    "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: TimeLimit")
+    assert not out.exists()
+    assert not Path(str(two_node_file) + ".sol").exists()
+
+
 def test_solve_time_limit_zero_writes_a_solution(two_node_file, tmp_path):
     out = tmp_path / "rec.csv"
     assert run_cli(["solve", str(two_node_file), "--time-limit", "0", "--output", str(out)]) == 0
@@ -227,6 +238,16 @@ def test_bench_empty_directory_gives_header_only(tmp_path, capsys):
     assert rc == 0
     rows = read_csv(capsys.readouterr().out)
     assert len(rows) == 1
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_on_a_path_that_is_not_a_directory_exits_2(tmp_path, capsys, two_node_file, kind):
+    target = tmp_path / "no_such_dir" if kind == "missing" else two_node_file
+    out = tmp_path / "rec.csv"
+    assert run_cli(["bench", str(target), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def make_small_suite(tmp_path, count=4):

@@ -55,6 +55,17 @@ def test_params_validation():
         gits.Params(MaxOutsideIter=-1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("TimeLimit", float("nan")), ("TimeLimit", float("inf")), ("TimeLimit", -1.0),
+    ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0), ("epsilon", -1e-6),
+])
+def test_params_reject_non_finite_or_out_of_range_floats(field, value):
+    with pytest.raises(ValueError, match=field):
+        gits.Params(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        gits.apply_overrides(gits.Params(), [f"{field}={value}"])
+
+
 def test_params_config_round_trip():
     p = gits.Params(MaxPass=3, Beta=0.25, DoTabu=False)
     text = gits.params_to_config(p)

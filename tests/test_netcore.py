@@ -694,18 +694,41 @@ def assert_sweep_is_fresh(state):
     got = assert_sweep_matches_cycles(state, state.problem)
     for name, a, b in zip(("candidates", "delta", "objective delta", "admissible"), got, want):
         assert np.array_equal(a, b), name
+    # every degenerate answer, kept or new, names an arc of its cycle that
+    # blocks the push at 0
+    cand, delta = got[0], got[1]
+    for j in cand[delta == 0].tolist():
+        _, _, cycle = state._cycle(j, 1 if state.status[j] == nc.AT_LOWER else -1)
+        residual = {e: int(state.cap[e] - state.flow[e]) if s > 0 else int(state.flow[e])
+                    for e, s in cycle}
+        assert residual.get(int(state.sweep_witness[j])) == 0, j
+
+
+def spy_answers(monkeypatch, state):
+    """Record the candidates each sweep of `state` (not of its copies) answers."""
+    answered = []
+    answer = nc._answer
+    monkeypatch.setattr(nc, "_answer", lambda st, jump, cand: (
+        st is state and answered.append(cand.tolist())) or answer(st, jump, cand))
+    return answered
 
 
 @pytest.fixture
 def checked_sweeps(monkeypatch):
     """Sweep after every pivot, so that each sweep is one pivot past the kept
     answers, and check it with assert_sweep_is_fresh. Returns counts of the
-    pivot kinds seen."""
+    pivot kinds seen. A kept degenerate answer whose witness is off the
+    pivot's cycle must not be answered again; "witness skip" counts those
+    whose new cycle meets the cycle of a pivot that changed flows, and
+    "witness on cycle" the answers whose witness is on it that were."""
     seen = collections.Counter()
     apply = nc.SimplexState._apply
 
     def checked(state, j, k, delta, cycle):
         kept = state.sweep_version == state.version
+        cand = np.flatnonzero(state.status[: state.m] != nc.IN_TREE)
+        degenerate = cand[state.sweep_delta[cand] == 0] if kept else cand[:0]
+        witness = state.sweep_witness[degenerate]
         apply(state, j, k, delta, cycle)
         if k == j:
             seen["flip"] += 1
@@ -715,7 +738,21 @@ def checked_sweeps(monkeypatch):
             seen["degenerate"] += delta == 0
             seen["root leaves"] += k >= state.m
         seen["one past"] += kept
-        assert_sweep_is_fresh(state)
+        with monkeypatch.context() as patch:
+            answered = spy_answers(patch, state)
+            assert_sweep_is_fresh(state)
+        redo = set(sum(answered, []))
+        on_cycle = {e for e, _ in cycle}
+        for c, w in zip(degenerate.tolist(), witness.tolist()):
+            if c in (j, k):
+                continue
+            if w in on_cycle:
+                seen["witness on cycle"] += c in redo
+            else:
+                assert c not in redo, c
+                if delta:
+                    _, _, new = state._cycle(c, 1 if state.status[c] == nc.AT_LOWER else -1)
+                    seen["witness skip"] += any(e in on_cycle for e, _ in new)
 
     monkeypatch.setattr(nc.SimplexState, "_apply", checked)
     return seen
@@ -742,7 +779,7 @@ def test_kept_sweep_is_exact_through_fc_pivots(checked_sweeps):
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
         pos = int(np.argmin(xoj)) if step % 3 else int(rng.integers(cand.size))
         nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pos])))
-    for kind in ("a", "b", "degenerate"):
+    for kind in ("a", "b", "degenerate", "witness skip", "witness on cycle"):
         assert checked_sweeps[kind] > 0, kind
     assert checked_sweeps["one past"] == 60
 
@@ -775,6 +812,24 @@ def test_second_sweep_without_a_pivot_answers_nothing_again(monkeypatch):
     nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
     assert_sweep_is_fresh(state)
     assert 0 < answered[1] < first[0].size
+
+
+def test_leaving_arc_is_answered_again_whatever_its_stale_answer(monkeypatch):
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost + 0.37)
+    cand, _, _, _ = nc.evaluate_all_entering(state)
+    ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
+              if ev.leaving != ev.entering and ev.leaving < state.m)
+    k = ev.leaving
+    on_cycle = {e for e, _ in ev._cycle}
+    # k is basic, so its kept entries are stale: make them a degenerate
+    # answer whose witness lies off the cycle, which would otherwise be kept
+    state.sweep_delta[k] = 0
+    state.sweep_witness[k] = next(e for e in range(state.m) if e not in on_cycle)
+    nc.pivot(state, ev)
+    answered = spy_answers(monkeypatch, state)
+    assert_sweep_is_fresh(state)
+    assert k in answered[0]
 
 
 def test_sweep_after_reoptimize_answers_every_candidate(monkeypatch):
