@@ -7,12 +7,15 @@ non-integral. The basis is a spanning tree over the instance nodes and a
 virtual root, joined to every node by an artificial arc. `solve_lp` proves
 feasibility once and then caps the artificial arcs at zero, so no later cost
 vector can route flow through the root and every pivot on a cycle through
-it is degenerate. The last-blocking leaving rule keeps a strongly feasible
-tree (positive flow can reach the root from every node) strongly feasible,
-which rules out cycling; a pivot through the root leaves by a capped root
-arc and can break that property, so the pivot limit of `optimize` is the
-backstop. Instance costs are integers, so all pivot-delta arithmetic is
-exact.
+it is degenerate. The basis stores only which arcs are in the tree: a
+nonbasic arc sits at 0 or at its capacity, and its flow says which, so it
+is pushed up from 0 and down otherwise. An arc of capacity 0 can carry
+nothing and is never priced. The last-blocking leaving rule keeps a
+strongly feasible tree (positive flow can reach the root from every node)
+strongly feasible, which rules out cycling; a pivot whose cycle passes
+through the root leaves by a capped root arc and can break that property,
+so the pivot limit of `optimize` is the backstop. Instance costs are
+integers, so all pivot-delta arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-
-AT_LOWER = 0
-IN_TREE = 1
-AT_UPPER = 2
 
 BIGM_CAP = 10**12
 BIGM_FLOOR = 1000
@@ -248,8 +247,9 @@ class SimplexState:
     The arc set is the instance's arcs followed by one artificial arc per node
     into a virtual root. Artificial arcs start with the total supply as
     capacity and BigM as cost; once `solve_lp` has drained them, their
-    capacity is zero and they only hold the tree together. Warm starts keep
-    the basis and swap the working cost vector.
+    capacity is zero and they only hold the tree together. `basic` marks
+    the tree arcs; every other arc's flow is 0 or its capacity. Warm starts
+    keep the basis and swap the working cost vector.
     """
 
     def __init__(self, problem: NetworkProblem, costs):
@@ -263,19 +263,20 @@ class SimplexState:
         self.bigm = default_bigm(problem)
 
         supply = problem.supply
-        source = supply > 0
+        source = supply >= 0
         art_cap = max(int(supply[source].sum()), 1)
 
-        # Artificial arcs: supply nodes point at the root, others away from
-        # it, so the initial all-artificial tree is strongly feasible.
+        # Artificial arcs: nodes without demand point at the root, demand
+        # nodes away from it, so the all-artificial tree is strongly feasible
+        # but for a sole source, which starts at its artificial capacity.
         nodes = np.arange(n, dtype=np.int64)
         self.tail = np.concatenate([problem.tail, np.where(source, nodes, self.root)])
         self.head = np.concatenate([problem.head, np.where(source, self.root, nodes)])
         self.cap = np.concatenate([problem.cap, np.full(n, art_cap, dtype=np.int64)])
         self.fixed = np.concatenate([problem.fixed, np.zeros(n, dtype=np.int64)])
         self.flow = np.concatenate([np.zeros(m, dtype=np.int64), np.abs(supply)])
-        self.status = np.full(self.E, IN_TREE, dtype=np.int8)
-        self.status[:m] = AT_LOWER
+        self.basic = np.zeros(self.E, dtype=bool)
+        self.basic[m:] = True
         self.base_cost = np.concatenate([problem.cost, np.full(n, self.bigm, dtype=np.int64)])
         self.work = np.empty(self.E, dtype=np.float64)
         self.work[m:] = float(self.bigm)
@@ -393,13 +394,15 @@ class SimplexState:
     # -- pivoting machinery ------------------------------------------------
 
     def _price(self) -> int:
-        """Dantzig rule: most violating nonbasic arc, lowest index on ties."""
+        """Dantzig rule: most violating nonbasic arc, lowest index on ties.
+        An arc of capacity 0 has equal bounds, so it is optimal at any
+        reduced cost and never priced."""
         pw = self.pot_work
         rc = self.work - pw[self.tail] + pw[self.head]
-        viol = np.where((self.status == AT_LOWER) & (rc < -PRICE_TOL), -rc, 0.0)
-        viol = np.where((self.status == AT_UPPER) & (rc > PRICE_TOL), rc, viol)
+        viol = np.where(self.flow == 0, -rc, rc)
+        viol[self.basic | (self.cap == 0)] = 0.0
         j = int(np.argmax(viol))
-        return j if viol[j] > 0.0 else -1
+        return j if viol[j] > PRICE_TOL else -1
 
     def _cycle(self, j: int, dirn: int):
         """Ratio test over the basis cycle of arc j pushed in direction dirn.
@@ -447,14 +450,19 @@ class SimplexState:
         hung below the other endpoint p through j, and only the moved subtree
         is relabelled. Flows change on the cycle, which in the new basis is k
         plus the tree path between k's endpoints (k is j on a bound flip).
+        A leaving arc off the cycle or not at a bound after the push is
+        refused before anything changes.
         """
-        flow, status = self.flow, self.status
-        dirn = 1 if status[j] == AT_LOWER else -1
+        flow = self.flow
+        dirn = 1 if flow[j] == 0 else -1
         moved = -1
         arcs = [e for e, _ in cycle]
+        if k not in arcs:
+            raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
+        fk = int(flow[k]) + cycle[arcs.index(k)][1] * delta
+        if fk != 0 and fk != self.cap[k]:
+            raise SimplexStalled(f"leaving arc {k} not at a bound (flow {fk})")
         if k != j:
-            if k not in arcs:
-                raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
             na, nb = int(self.tail[j]), int(self.head[j])
             if dirn < 0:
                 na, nb = nb, na
@@ -464,19 +472,11 @@ class SimplexState:
         if delta:
             for e, s in cycle:
                 flow[e] += s * delta
-        if k == j:
-            status[j] = AT_UPPER if dirn > 0 else AT_LOWER
-        else:
-            status[j] = IN_TREE
+        if k != j:
+            self.basic[j] = True
+            self.basic[k] = False
             self.tree_adj[int(self.tail[j])].append(j)
             self.tree_adj[int(self.head[j])].append(j)
-            fk = int(flow[k])
-            if fk == 0:
-                status[k] = AT_LOWER
-            elif fk == int(self.cap[k]):
-                status[k] = AT_UPPER
-            else:
-                raise SimplexStalled(f"leaving arc {k} not at a bound (flow {fk})")
             self.tree_adj[int(self.tail[k])].remove(k)
             self.tree_adj[int(self.head[k])].remove(k)
             self._hang(p, (j,))
@@ -492,7 +492,7 @@ class SimplexState:
             j = self._price()
             if j < 0:
                 return steps
-            delta, k, cycle = self._cycle(j, 1 if self.status[j] == AT_LOWER else -1)
+            delta, k, cycle = self._cycle(j, 1 if self.flow[j] == 0 else -1)
             self._apply(j, k, delta, cycle)
             steps += 1
             if steps > limit:
@@ -503,13 +503,11 @@ class SimplexState:
     def assert_valid_basis(self) -> None:
         """Raise when any structural, flow or tree-label invariant is broken (test hook)."""
         n, m = self.n, self.m
-        if int(np.sum(self.status == IN_TREE)) != n:
+        if int(np.count_nonzero(self.basic)) != n:
             raise SimplexStalled("tree arc count is not node count")
         if np.any(self.flow < 0) or np.any(self.flow > self.cap):
             raise SimplexStalled("flow bound violated")
-        nb_low = (self.status == AT_LOWER) & (self.flow != 0)
-        nb_up = (self.status == AT_UPPER) & (self.flow != self.cap)
-        if np.any(nb_low) or np.any(nb_up):
+        if np.any(~self.basic & (self.flow != 0) & (self.flow != self.cap)):
             raise SimplexStalled("nonbasic arc away from its bound")
         net = np.zeros(n + 1, dtype=np.int64)
         np.add.at(net, self.tail, self.flow)
@@ -527,13 +525,13 @@ class SimplexState:
         v = np.arange(n)
         te, he = self.tail[e], self.head[e]
         joins = ((te == v) & (he == u)) | ((he == v) & (te == u))
-        if np.any(self.status[e] != IN_TREE) or not np.all(joins):
+        if not np.all(self.basic[e] & joins):
             raise SimplexStalled("pred arc is not a tree arc to the parent")
         if np.any(depth[:n] != depth[u] + 1):
             raise SimplexStalled("depth is not the parent's plus one")
         # Each tree arc's potentials differ by one rounded float operation in
         # _hang, so its reduced cost is zero to a few ulps of its terms.
-        tree = np.nonzero(self.status == IN_TREE)[0]
+        tree = np.flatnonzero(self.basic)
         w, pt, ph = self.work[tree], self.pot_work[self.tail[tree]], self.pot_work[self.head[tree]]
         ulps = 4 * np.finfo(np.float64).eps * (np.abs(w) + np.abs(pt) + np.abs(ph))
         if np.any(np.abs(w - pt + ph) > ulps):
@@ -586,10 +584,9 @@ def evaluate_fc_entering(state: SimplexState, problem: NetworkProblem, j: int) -
         raise ValueError("problem does not match the state's instance")
     if j < 0 or j >= state.m:
         raise ValueError(f"arc index {j} out of range")
-    if state.status[j] == IN_TREE:
+    if state.basic[j]:
         raise ValueError(f"arc {j} is basic; entering arc must be nonbasic")
-    dirn = 1 if state.status[j] == AT_LOWER else -1
-    delta, k, cycle = state._cycle(j, dirn)
+    delta, k, cycle = state._cycle(j, 1 if state.flow[j] == 0 else -1)
 
     objective_delta = 0
     if delta > 0:
@@ -642,7 +639,7 @@ def evaluate_all_entering(state: SimplexState):
     instance costs, so `set_costs` leaves them valid. The returned arrays
     are new on each call.
     """
-    cand = np.flatnonzero(state.status[: state.m] != IN_TREE)
+    cand = np.flatnonzero(~state.basic[: state.m])
     if state.sweep_version != state.version:
         jump = _jump_tables(state)
         redo = cand
@@ -780,13 +777,13 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
     reads exact potentials of the instance costs: root-path sums of the
     tree arcs' signed costs.
     """
-    status, tail, head, depth = state.status, state.tail, state.head, state.depth
+    tail, head, depth = state.tail, state.head, state.depth
     cap, flow, fixed, basec = state.cap, state.flow, state.fixed, state.base_cost
     n1 = state.n + 1
     side = np.array([[0], [n1]])  # where each side's half starts
     roots = side + state.root
 
-    lower = status[cand] == AT_LOWER
+    lower = flow[cand] == 0
     tc, hc = tail[cand], head[cand]
     leave = np.where(lower, tc, hc)
     ends = np.array((leave, tc + hc - leave))

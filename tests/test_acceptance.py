@@ -14,8 +14,8 @@ from ssp_reference import min_cost_flow
 
 
 def report(num, name, ok, detail=""):
-    status = "PASS" if ok else "FAIL"
-    print(f"[acceptance {num}] {name}: {status}  {detail}")
+    verdict = "PASS" if ok else "FAIL"
+    print(f"[acceptance {num}] {name}: {verdict}  {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixnet import gits
 from fixnet import netcore as nc
 from fixnet import probio
 from ssp_reference import min_cost_flow
@@ -36,6 +37,11 @@ def random_transport(rng, m, n, cmax=8, fmax=0, cap_lo=4, cap_hi=14):
                  int(rng.integers(cap_lo, cap_hi + 1)))
             )
     return nc.make_problem(supply, arcs)
+
+
+def push(state, j):
+    """Direction a nonbasic arc is pushed in: up from 0, else down from its capacity."""
+    return 1 if state.flow[j] == 0 else -1
 
 
 # -- validate -----------------------------------------------------------------
@@ -272,7 +278,7 @@ def parallel_arcs_problem(f0, f1, cap0=6):
 def test_evaluate_cost_neutral_parallel_swap():
     p = parallel_arcs_problem(0, 0)
     state = nc.solve_lp(p, [1.0, 1.0])
-    assert state.status[0] == nc.IN_TREE and state.real_flows()[0] == 5
+    assert state.basic[0] and state.real_flows()[0] == 5
     ev = nc.evaluate_fc_entering(state, p, 1)
     assert ev.delta == 5
     assert ev.objective_delta == 0
@@ -327,7 +333,7 @@ def assert_sweep_matches_cycles(state, p):
     evaluate_fc_entering: equal deltas and objective deltas, every entry
     admissible."""
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
-    assert np.array_equal(cand, np.flatnonzero(state.status[: state.m] != nc.IN_TREE))
+    assert np.array_equal(cand, np.flatnonzero(~state.basic[: state.m]))
     assert ok.all()
     for pos, j in enumerate(cand.tolist()):
         ev = nc.evaluate_fc_entering(state, p, j)
@@ -339,14 +345,17 @@ def assert_sweep_matches_cycles(state, p):
 def rail(nodes, base):
     """A path of `nodes` nodes from `base`. The first node sends a unit to
     each other node of the first two thirds, so the forward arcs there sit
-    strictly inside their bounds and those into the last third are empty
-    basic arcs. Backward arcs and shortcuts both ways stay idle."""
+    strictly inside their bounds. The zero-supply nodes of the last third
+    start on arcs toward the root; backward arcs cost nothing, so the big-M
+    start hangs each of them below its predecessor on an empty basic
+    backward arc. The other backward arcs and shortcuts both ways stay
+    idle."""
     busy = nodes - nodes // 3
     supply = [busy - 1] + [-1] * (busy - 1) + [0] * (nodes - busy)
     arcs = []
     for i in range(base, base + nodes - 1):
         arcs.append((i, i + 1, 1, 10 + i, 2 * nodes))
-        arcs.append((i + 1, i, 2, 7, 2 * nodes))
+        arcs.append((i + 1, i, 0, 7, 2 * nodes))
     for i in range(base, base + nodes - 3, 2):
         arcs += [(i, i + 3, 4, 5, 2), (i + 3, i, 4, 5, 2)]
     return supply, arcs
@@ -412,7 +421,7 @@ def test_sweep_on_fresh_all_artificial_state():
 def test_sweep_with_no_nonbasic_arc():
     p = nc.make_problem([5, -5], [(0, 1, 3, 7, 10)])
     state = nc.solve_lp(p, p.cost)
-    assert state.status[0] == nc.IN_TREE
+    assert state.basic[0]
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
     assert cand.size == delta.size == xoj.size == ok.size == 0
     assert delta.dtype == xoj.dtype == np.int64 and ok.dtype == bool
@@ -421,11 +430,12 @@ def test_sweep_with_no_nonbasic_arc():
 def two_legs(feeder_cap=4, shortcut_cap=9):
     # R=0 supplies 4 to T=6 down the right leg 0->4->5->6. A saturated
     # negative-cost feeder 0->3 sends feeder_cap more round the left leg
-    # 3->2->1->0, so the basis hangs from R. Pushing along the shortcut 3->6
-    # (arc 7) empties the left leg arcs 2, 1, 0 in push order from R, then
-    # the right leg arcs 5, 4, 3.
+    # 3->2->1->0. The left leg's arcs cost -1, so the big-M start hangs
+    # nodes 1, 2 and 3 below R before the feeder enters, and the basis hangs
+    # from R. Pushing along the shortcut 3->6 (arc 7) empties the left leg
+    # arcs 2, 1, 0 in push order from R, then the right leg arcs 5, 4, 3.
     return nc.make_problem([4, 0, 0, 0, 0, 0, -4], [
-        (3, 2, 1, 1, 9), (2, 1, 1, 2, 9), (1, 0, 1, 4, 9),
+        (3, 2, -1, 1, 9), (2, 1, -1, 2, 9), (1, 0, -1, 4, 9),
         (0, 4, 1, 8, 9), (4, 5, 1, 16, 9), (5, 6, 1, 32, 9),
         (0, 3, -10, 64, feeder_cap), (3, 6, 20, 128, shortcut_cap),
     ])
@@ -441,9 +451,9 @@ def test_sweep_sums_every_tied_release_on_both_sides():
     assert sorted(e for e, s in cycle[at + 1:] if s < 0) == [3, 4, 5]
     cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
     assert cand.tolist() == [6, 7] and delta.tolist() == [4, 4] and ok.all()
-    # feeder: -(-7) * 4 - (1 + 2 + 4) - 64 for its own charge at its bound
-    # shortcut: 14 * 4 + 128 - (1 + 2 + 4 + 8 + 16 + 32)
-    assert xoj.tolist() == [-43, 121]
+    # feeder: -(-13) * 4 - (1 + 2 + 4) - 64 for its own charge at its bound
+    # shortcut: 20 * 4 + 128 - (1 + 2 + 4 + 8 + 16 + 32)
+    assert xoj.tolist() == [-19, 145]
 
 
 @pytest.mark.parametrize("feeder_cap,shortcut_cap,leaving", [
@@ -459,7 +469,8 @@ def test_ratio_test_takes_the_last_blocking_arc_in_push_order(feeder_cap, shortc
     assert cycle == [(2, -1), (1, -1), (0, -1), (7, 1), (5, -1), (4, -1), (3, -1)]
     assert (delta, k) == (min(feeder_cap, shortcut_cap), leaving)
     nc.pivot(state, nc.evaluate_fc_entering(state, p, 7))
-    assert state.status[leaving] == (nc.AT_UPPER if leaving == 7 else nc.AT_LOWER)
+    assert not state.basic[leaving]
+    assert state.flow[leaving] == (shortcut_cap if leaving == 7 else 0)
     state.assert_valid_basis()
 
 
@@ -467,15 +478,16 @@ def test_ratio_test_takes_the_last_blocking_arc_in_push_order(feeder_cap, shortc
 
 
 def test_pivot_bound_flip_keeps_tree():
-    # entering arc blocks on its own capacity: status toggles, tree unchanged
+    # entering arc blocks on its own capacity: it moves to its other bound,
+    # tree unchanged
     p = nc.make_problem([5, -5], [(0, 1, 1, 0, 8), (0, 1, 3, 0, 4)])
     state = nc.solve_lp(p, [1.0, 3.0])
-    assert state.status[1] == nc.AT_LOWER
+    assert not state.basic[1] and state.flow[1] == 0
     tree_before = [list(adj) for adj in state.tree_adj]
     ev = nc.evaluate_fc_entering(state, p, 1)
     assert ev.leaving == ev.entering == 1
     nc.pivot(state, ev)
-    assert state.status[1] == nc.AT_UPPER
+    assert not state.basic[1] and state.flow[1] == 4
     assert [list(adj) for adj in state.tree_adj] == tree_before
     state.assert_valid_basis()
 
@@ -498,7 +510,7 @@ def test_pivot_degenerate_changes_tree_not_flows():
                 flows = state.flow.copy()
                 nc.pivot(state, ev)
                 assert np.array_equal(state.flow, flows)
-                assert state.status[j] == nc.IN_TREE
+                assert state.basic[j]
                 state.assert_valid_basis()
                 found = True
                 break
@@ -607,6 +619,17 @@ def test_fc_pivots_keep_full_relabel_labels(checked_exchanges):
     assert checked_exchanges["a"] > 0 and checked_exchanges["b"] > 0
 
 
+def assert_refused_unchanged(state, ev, leaving):
+    """A pivot of `ev` forged to leave by `leaving` is refused and changes nothing."""
+    before = state.copy()
+    with pytest.raises(nc.SimplexStalled):
+        nc.pivot(state, dataclasses.replace(ev, leaving=leaving))
+    for name in LABELS + ("flow", "basic"):
+        assert np.array_equal(getattr(state, name), getattr(before, name)), name
+    assert state.tree_adj == before.tree_adj
+    state.assert_valid_basis()
+
+
 def test_exchange_with_leaving_arc_off_the_cycle_is_refused():
     p = fctp_instance()
     state = nc.solve_lp(p, p.cost)
@@ -614,13 +637,34 @@ def test_exchange_with_leaving_arc_off_the_cycle_is_refused():
     ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
               if ev.leaving != ev.entering)
     on_cycle = {e for e, _ in ev._cycle}
-    off = int(next(e for e in np.flatnonzero(state.status == nc.IN_TREE) if e not in on_cycle))
-    before = state.copy()
-    with pytest.raises(nc.SimplexStalled):
-        nc.pivot(state, dataclasses.replace(ev, leaving=off))
-    for name in LABELS + ("flow", "status"):
-        assert np.array_equal(getattr(state, name), getattr(before, name)), name
-    state.assert_valid_basis()
+    off = int(next(e for e in np.flatnonzero(state.basic) if e not in on_cycle))
+    assert_refused_unchanged(state, ev, off)
+
+
+def test_exchange_with_leaving_arc_off_its_bound_is_refused_before_any_change():
+    # an arc of the cycle that the push leaves strictly inside its bounds
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+    ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand[delta > 0])
+              if ev.leaving != ev.entering)
+    inner = [e for e, s in ev._cycle
+             if e != ev.entering and 0 < state.flow[e] + s * ev.delta < state.cap[e]]
+    assert inner
+    assert_refused_unchanged(state, ev, inner[0])
+
+
+def test_valid_basis_refuses_nonbasic_arc_between_its_bounds():
+    # one unit round a nonbasic arc's cycle keeps conservation, the tree
+    # arcs' bounds and every label, and leaves the arc strictly inside
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+    j = int(next(j for j, d in zip(cand, delta) if d > 0 and state.cap[j] > 1))
+    for e, s in state._cycle(j, push(state, j))[2]:
+        state.flow[e] += s
+    with pytest.raises(nc.SimplexStalled, match="away from its bound"):
+        state.assert_valid_basis()
 
 
 def test_relabel_of_cyclic_basis_arcs_is_refused():
@@ -628,7 +672,7 @@ def test_relabel_of_cyclic_basis_arcs_is_refused():
     # the walk would run for ever
     p = fctp_instance()
     state = nc.solve_lp(p, p.cost)
-    j = int(np.flatnonzero(state.status != nc.IN_TREE)[0])
+    j = int(np.flatnonzero(~state.basic)[0])
     state.tree_adj[int(state.tail[j])].append(j)
     state.tree_adj[int(state.head[j])].append(j)
     with pytest.raises(nc.SimplexStalled):
@@ -640,7 +684,7 @@ def test_copy_shares_no_array_or_adjacency_list():
     state = nc.solve_lp(p, p.cost)
     clone = state.copy()
     arrays = [name for name, value in vars(state).items() if isinstance(value, np.ndarray)]
-    assert set(LABELS + ("flow", "status", "work")) <= set(arrays)
+    assert set(LABELS + ("flow", "basic", "work")) <= set(arrays)
     for name in arrays:
         assert not np.shares_memory(getattr(clone, name), getattr(state, name)), name
     assert not any(a is b for a, b in zip(clone.tree_adj, state.tree_adj))
@@ -672,7 +716,7 @@ def test_valid_basis_checks_tree_labels(name, node, value):
     if value == "grandparent":
         value = state.parent[state.parent[leaf]]
     elif value == "nonbasic":
-        value = int(np.flatnonzero(state.status != nc.IN_TREE)[0])
+        value = int(np.flatnonzero(~state.basic)[0])
     elif value == "1e-7 max work off":
         # a tenth of a 1e-6 * max|work| tolerance, far above float rounding
         value = state.pot_work[leaf] + 1e-7 * np.max(np.abs(state.work))
@@ -698,7 +742,7 @@ def assert_sweep_is_fresh(state):
     # blocks the push at 0
     cand, delta = got[0], got[1]
     for j in cand[delta == 0].tolist():
-        _, _, cycle = state._cycle(j, 1 if state.status[j] == nc.AT_LOWER else -1)
+        _, _, cycle = state._cycle(j, push(state, j))
         residual = {e: int(state.cap[e] - state.flow[e]) if s > 0 else int(state.flow[e])
                     for e, s in cycle}
         assert residual.get(int(state.sweep_witness[j])) == 0, j
@@ -725,8 +769,9 @@ def checked_sweeps(monkeypatch):
     apply = nc.SimplexState._apply
 
     def checked(state, j, k, delta, cycle):
+        seen["zero capacity entered"] += state.cap[j] == 0
         kept = state.sweep_version == state.version
-        cand = np.flatnonzero(state.status[: state.m] != nc.IN_TREE)
+        cand = np.flatnonzero(~state.basic[: state.m])
         degenerate = cand[state.sweep_delta[cand] == 0] if kept else cand[:0]
         witness = state.sweep_witness[degenerate]
         apply(state, j, k, delta, cycle)
@@ -751,7 +796,7 @@ def checked_sweeps(monkeypatch):
             else:
                 assert c not in redo, c
                 if delta:
-                    _, _, new = state._cycle(c, 1 if state.status[c] == nc.AT_LOWER else -1)
+                    _, _, new = state._cycle(c, push(state, c))
                     seen["witness skip"] += any(e in on_cycle for e, _ in new)
 
     monkeypatch.setattr(nc.SimplexState, "_apply", checked)
@@ -760,13 +805,17 @@ def checked_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
 def test_kept_sweep_is_exact_through_cold_solves_and_warm_starts(checked_sweeps, make):
+    # only the FCTP instance's solves flip a real arc between its bounds; on
+    # neither does a capped root arc enter
     p = make()
     state = nc.solve_lp(p, p.cost)
     rng = np.random.default_rng(3)
     for _ in range(3):
         nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
-    for kind in ("a", "b", "flip", "degenerate", "root leaves", "one past"):
+    kinds = ("a", "b", "degenerate", "root leaves", "one past")
+    for kind in kinds + (("flip",) if make is fctp_instance else ()):
         assert checked_sweeps[kind] > 0, kind
+    assert checked_sweeps["zero capacity entered"] == 0
 
 
 def test_kept_sweep_is_exact_through_fc_pivots(checked_sweeps):
@@ -844,7 +893,7 @@ def test_sweep_after_reoptimize_answers_every_candidate(monkeypatch):
     monkeypatch.setattr(nc, "_answer", lambda st, anc, cand: (
         st is state and answered.append(cand.size)) or answer(st, anc, cand))
     assert_sweep_is_fresh(state)
-    assert answered[0] == np.count_nonzero(state.status[: state.m] != nc.IN_TREE)
+    assert answered[0] == np.count_nonzero(~state.basic[: state.m])
 
 
 def test_copy_pivoted_differently_keeps_its_own_sweep():
@@ -884,7 +933,7 @@ def test_kept_sweep_is_exact_on_random_pivot_sequences(seed, netgen, picks):
         return
     for pick in picks:
         assert_sweep_is_fresh(state)
-        cand = np.flatnonzero(state.status[: state.m] != nc.IN_TREE)
+        cand = np.flatnonzero(~state.basic[: state.m])
         if pick % 8 == 0:
             nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 20.0, size=p.arc_count))
         elif pick % 8 != 1 and cand.size:
@@ -893,10 +942,12 @@ def test_kept_sweep_is_exact_on_random_pivot_sequences(seed, netgen, picks):
     state.assert_valid_basis()
 
 
-def test_capping_the_root_arcs_drops_the_kept_sweep():
+def test_capping_the_root_arcs_drops_the_kept_sweep(monkeypatch):
     # source 0, sink 1, transshipment nodes 2 and 3, whose artificial arcs
-    # point away from the root and stay in the optimal tree at flow 0: before
-    # the cap a push can raise one of them, after it the push is degenerate
+    # point at the root and stay in the optimal tree at flow 0. A cycle
+    # through the root lowers one of them, so it is degenerate before the
+    # cap too; the cap makes the root arc it raises block as well, and that
+    # one, last in push order, leaves instead
     p = nc.make_problem([2, -2, 0, 0], [
         (3, 0, 3, 5, 9), (2, 0, 7, 5, 9), (0, 1, 4, 5, 9), (0, 2, 3, 5, 9),
     ])
@@ -906,13 +957,101 @@ def test_capping_the_root_arcs_drops_the_kept_sweep():
     state.optimize()
     assert not state.has_artificial_flow()
     assert_sweep_is_fresh(state)
-    cand, before, _, _ = nc.evaluate_all_entering(state)
-    stale = nc.evaluate_fc_entering(state, p, int(cand[np.flatnonzero(before)[0]]))
+    cand = nc.evaluate_all_entering(state)[0]
+    stale = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
+    answered = spy_answers(monkeypatch, state)
     state.close_artificial_arcs()
     assert_sweep_is_fresh(state)
-    assert not np.array_equal(before, nc.evaluate_all_entering(state)[1])
+    assert answered == [cand.tolist()]
+    new = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
+    assert any(a.leaving != b.leaving and b.leaving >= state.m for a, b in zip(stale, new))
     with pytest.raises(nc.StalePivotEval):
-        nc.pivot(state, stale)
+        nc.pivot(state, stale[0])
+
+
+# -- bounds read from flows ---------------------------------------------------------
+
+
+def weak_tree_arcs(state):
+    """Tree arcs that fail the strong-feasibility test of Ahuja, Magnanti and
+    Orlin: no positive flow can pass them toward the root, because an arc
+    pointing up is at its capacity or one pointing down is at 0. A capped
+    root arc always fails it."""
+    e = state.pred_arc[: state.n]
+    up = state.tail[e] == np.arange(state.n)
+    return e[np.where(up, state.flow[e] == state.cap[e], state.flow[e] == 0)]
+
+
+def weak_real_tree_arcs(state):
+    return int(np.count_nonzero(weak_tree_arcs(state) < state.m))
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """Per pivot: the capacity of the entering arc, and for an exchange the
+    count of real tree arcs failing the strong-feasibility test after it."""
+    seen = {"entered cap": [], "weak": []}
+    apply = nc.SimplexState._apply
+
+    def spied(state, j, k, delta, cycle):
+        seen["entered cap"].append(int(state.cap[j]))
+        apply(state, j, k, delta, cycle)
+        if k != j:
+            seen["weak"].append(weak_real_tree_arcs(state))
+
+    monkeypatch.setattr(nc.SimplexState, "_apply", spied)
+    return seen
+
+
+@pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
+def test_no_zero_capacity_arc_enters_through_solves_and_a_search(exchanges, make):
+    # a capped root arc has equal bounds: entering it could only flip it
+    # between them or swap it into the tree with no flow change
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
+    gits.GhostImageSearch(p, gits.Params(MaxOutsideIter=5)).run()
+    assert len(exchanges["entered cap"]) > 300
+    assert min(exchanges["entered cap"]) > 0
+
+
+def test_fctp_tree_stays_strongly_feasible_through_warm_starts_and_a_search(exchanges):
+    # the LP tree keeps one root arc, so no pivot after the cap passes
+    # through the root, and the last-blocking rule keeps every tree arc
+    # passable toward the root
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
+    eng = gits.GhostImageSearch(p, gits.Params())
+    eng.run()
+    assert len(exchanges["weak"]) > 2000
+    assert max(exchanges["weak"]) == 0
+    assert weak_real_tree_arcs(eng.state) == 0
+
+
+def test_zero_supply_nodes_start_on_arcs_toward_the_root():
+    # a transshipment node's artificial arc pointing down would sit at 0, a
+    # tree arc no flow can pass toward the root
+    p = netgen_instance()
+    assert (p.supply == 0).sum() > 20 and (p.supply > 0).sum() > 1
+    state = nc.SimplexState(p, p.cost)
+    art = np.arange(state.m, state.E)
+    assert np.array_equal(state.head[art] == state.root, p.supply >= 0)
+    assert weak_tree_arcs(state).size == 0
+    state = nc.solve_lp(p, p.cost)
+    assert weak_real_tree_arcs(state) == 0
+
+
+def test_sole_source_starts_at_its_artificial_capacity():
+    p = nc.make_problem([5, 0, -5], [(0, 1, 1, 0, 9), (1, 2, 1, 0, 9)])
+    state = nc.SimplexState(p, p.cost)
+    assert weak_tree_arcs(state).tolist() == [state.m]
+    state = nc.solve_lp(p, p.cost)
+    assert state.real_flows().tolist() == [5, 5]
 
 
 # -- solver invariants ------------------------------------------------------------

@@ -7,7 +7,11 @@ of ints), so a drift seen here is the drift the benchmark would report.
 Recorded with the artificial root arcs capped at zero after `solve_lp`: a
 capped root arc blocks at 0 on the side where a cycle increases it, so some
 degenerate pivots through the root leave by a different arc than when those
-arcs stayed open, and the paths differ from that point on.
+arcs stayed open, and the paths differ from that point on. Re-recorded
+once pricing skipped zero-capacity arcs and zero-supply nodes started on
+artificial arcs toward the root, which dropped the pivots that only flipped
+or swapped a capped root arc: every pivot count fell, every best value
+stayed.
 """
 
 import hashlib
@@ -19,21 +23,21 @@ from fixnet import gits, probio
 
 GOLDEN = [
     (probio.FctpSpec(4, 4, 400, fc_count=12, seed=9000), {},
-     (2154, 2269, 51, 2130, 3),
-     "78ea08acb863680af4cbd5664c703ac6a894c6049f84ca6fd360772acd94c38b"),
+     (2154, 2079, 51, 2130, 3),
+     "eb260a6dc6737405e2dfc04543437aeba2e44e356dd1ac80324e6d34f33977fc"),
     (probio.FctpSpec(6, 6, 600, fc_count=12, seed=9006), {},
-     (2896, 2429, 51, 2113, 2),
-     "245a4f289fd8b91284a19461a75083317fd38a7bf5fc675662c6cea363b20d63"),
+     (2896, 2374, 51, 2113, 2),
+     "c0bfb9446c7f62666713b421005b86c7bf9e025e861a227d5ec4c399e90c133b"),
     (probio.FctpSpec(10, 10, 10000, fc_range=(400, 1600), seed=3), {},
-     (56136, 2730, 51, 2186, 0),
-     "c125c7fa7c74dcb8f1787940842787090cf4e376b42d27a939094d18fe5a57b9"),
+     (56136, 2703, 51, 2181, 1),
+     "51385b3880a10c18fdd3131b66b0234b10ca36651fe2504a4260091d8e180629"),
     (probio.NetgenFcSpec(120, 30, 30, 900, 5000, fc_range=(1600, 6400), seed=5),
      {"MaxOutsideIter": 8},
-     (233862, 1868, 9, 405, 0),
-     "e349b8c7033f24ae4530832e89fd1e6ea3965ccb2e0d7f37437c848bb9ea9ddc"),
+     (233862, 1752, 9, 405, 0),
+     "9ef57480176908daa46e7d2292184106d588f1d3dd7e2d89868f49b0881bdaf1"),
     (probio.FctpSpec(5, 5, 500, fc_count=12, seed=9004), {"DoTabu": False},
-     (2384, 324, 51, 161, 2),
-     "4c9ade7e4b058f2af011b08b1c009c4eeb3dada43a65cee1ddac59714db8ae4d"),
+     (2384, 298, 51, 161, 1),
+     "081eb620680b33efb55e4669800b03359db90bae22080d3c5925489720f35b84"),
 ]
 
 
