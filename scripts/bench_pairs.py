@@ -13,7 +13,9 @@ change's median stays inside the metric's bound from the change checkout's
 BENCHMARK.json. With `--claim METRIC` it also prints whether that metric
 meets the gain rule: the change wins at least nine tenths of the pairs and
 the medians differ by more than the parent's interquartile spread. Traced
-runs (`--trace 1`) are compared by trajectory fingerprint instead.
+runs (`--trace 1`) are compared by trajectory fingerprint instead, and the
+medians of a few per-layer metrics are printed: the solver's layers and the
+oracle's own time, re-solve time, pivots and objective evaluations.
 
 Every result file the runs write is copied whole into `--out`; an existing
 file is extended, so one file can hold several workloads and seeds. Nothing
@@ -31,6 +33,12 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Per-layer metrics whose medians a traced comparison prints: the solver's
+# layers, then where the oracle's time and work go.
+LAYERS = ("netcore.evaluate_all_entering.s", "netcore.SimplexState.optimize.s",
+          "gits.inside_loop.self_s", "netcore.evaluate_fc_entering.s",
+          "oracle.brute_force_opt.self_s", "netcore.reoptimize.s",
+          "netcore.SimplexState.optimize.pivots", "netcore.fc_objective.calls")
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -122,8 +130,7 @@ def main(argv=None) -> int:
         same = all(r["parent"]["fingerprint"] == r["change"]["fingerprint"] for r in runs)
         group["fingerprints_equal"] = same
         print(f"trajectory fingerprints {'equal' if same else 'DIFFER'}")
-        for name in ("netcore.evaluate_all_entering.s", "netcore.SimplexState.optimize.s",
-                     "gits.inside_loop.self_s", "netcore.evaluate_fc_entering.s"):
+        for name in LAYERS:
             vals = {s: statistics.median(r[s]["metrics"][name]["value"] for r in runs)
                     for s in SIDES}
             print(f"{name:40s} parent {vals['parent']:.4g} change {vals['change']:.4g}")

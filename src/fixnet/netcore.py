@@ -278,8 +278,8 @@ class SimplexState:
         self.basic = np.zeros(self.E, dtype=bool)
         self.basic[m:] = True
         self.base_cost = np.concatenate([problem.cost, np.full(n, self.bigm, dtype=np.int64)])
-        self.work = np.empty(self.E, dtype=np.float64)
-        self.work[m:] = float(self.bigm)
+        # NaN differs from every cost, so the first install labels the tree.
+        self.work = np.full(self.E, np.nan)
 
         self.parent = np.full(n + 1, -1, dtype=np.int64)
         self.pred_arc = np.full(n + 1, -1, dtype=np.int64)
@@ -304,19 +304,32 @@ class SimplexState:
         self.sweep_xoj = np.zeros(m, dtype=np.int64)
         self.sweep_witness = np.zeros(m, dtype=np.int64)
         self.sweep_version = -1
-        self.set_costs(costs)
+        self.set_costs(costs, float(self.bigm))
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def set_costs(self, costs) -> None:
-        """Install a new working cost vector for the instance arcs."""
+    def set_costs(self, costs, root_cost: Optional[float] = None) -> None:
+        """Install a new working cost vector for the instance arcs, and
+        `root_cost` on every artificial arc when given.
+
+        Working potentials read only the tree arcs' costs, so the labels are
+        rebuilt only when some tree arc's working cost changes. Otherwise
+        they are kept, and they equal those a rebuild would give bit for bit.
+        Every write to the working costs goes through here.
+        """
         c = np.asarray(costs, dtype=np.float64)
         if c.shape != (self.m,):
             raise ValueError(f"cost vector has shape {c.shape}, expected ({self.m},)")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("costs must be finite")
-        self.work[: self.m] = c
-        self._rebuild()
+        work, basic, m = self.work, self.basic, self.m
+        stale = (basic[:m] & (c != work[:m])).any()
+        work[:m] = c
+        if root_cost is not None:
+            stale |= (basic[m:] & (work[m:] != root_cost)).any()
+            work[m:] = root_cost
+        if stale:
+            self._rebuild()
 
     def _rebuild(self) -> None:
         """Recompute labels, depths and working potentials from the tree arcs."""
@@ -393,12 +406,18 @@ class SimplexState:
 
     # -- pivoting machinery ------------------------------------------------
 
+    def reduced_costs(self) -> np.ndarray:
+        """Working reduced cost of every arc, artificial arcs included: zero
+        on tree arcs up to rounding, at optimality nonnegative on arcs at 0
+        and nonpositive on arcs at capacity."""
+        pw = self.pot_work
+        return self.work - pw[self.tail] + pw[self.head]
+
     def _price(self) -> int:
         """Dantzig rule: most violating nonbasic arc, lowest index on ties.
         An arc of capacity 0 has equal bounds, so it is optimal at any
         reduced cost and never priced."""
-        pw = self.pot_work
-        rc = self.work - pw[self.tail] + pw[self.head]
+        rc = self.reduced_costs()
         viol = np.where(self.flow == 0, -rc, rc)
         viol[self.basic | (self.cap == 0)] = 0.0
         j = int(np.argmax(viol))
@@ -553,14 +572,12 @@ def solve_lp(problem: NetworkProblem, costs) -> SimplexState:
     state.optimize()
     m = state.m
     if state.has_artificial_flow():
-        state.work[m:] = 1.0
-        state.set_costs(np.zeros(m))
+        state.set_costs(np.zeros(m), 1.0)
         state.optimize()
         if state.has_artificial_flow():
             raise Infeasible("no feasible flow meets all supplies")
         state.close_artificial_arcs()
-        state.work[m:] = float(state.bigm)
-        state.set_costs(costs)
+        state.set_costs(costs, float(state.bigm))
         state.optimize()
     state.close_artificial_arcs()
     return state
@@ -741,7 +758,7 @@ def _apex(jump: list, depth: np.ndarray, ends: np.ndarray) -> np.ndarray:
     lift -= np.minimum(lift[0], lift[1])
     x = ends
     for level, a in enumerate(jump):
-        x = np.where(lift & (1 << level), a[x], x)
+        x = np.where((lift & (1 << level)) != 0, a[x], x)
     for a in reversed(jump):
         ax = a[x]
         x = np.where(ax[0] != ax[1], ax, x)
@@ -785,8 +802,7 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
 
     lower = flow[cand] == 0
     tc, hc = tail[cand], head[cand]
-    leave = np.where(lower, tc, hc)
-    ends = np.array((leave, tc + hc - leave))
+    ends = np.where(lower, (tc, hc), (hc, tc))  # where the flow leaves, re-enters
     apex = _apex(jump, depth, ends)
     steps = depth[ends] - depth[apex]
     levels = int(steps.max()).bit_length()
@@ -818,9 +834,10 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
     r = np.array((capc, np.full(cand.size, _INT64_MAX)))
     d = np.array((fj - gain_j, np.zeros(cand.size, dtype=np.int64)))  # released at 0
     g = np.zeros((2, cand.size), dtype=np.int64)
-    start = cur = ends + side
+    ends += side  # from here on, positions in the flattened tables
+    cur = ends
     for level, a in enumerate(jump[:levels]):
-        move = steps & (1 << level)
+        move = (steps & (1 << level)) != 0
         idx = np.where(move, cur, roots)
         r, d = _meet(r, d, res[level][idx], rel[level][idx])
         g += gain[level][idx]
@@ -833,7 +850,7 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
     rc = basec[cand] - pot[tc] + pot[hc]
     xoj = np.where(lower, rc, -rc) * delta + (delta > 0) * (g[0] + g[1] + gain_j - drop)
 
-    block = nearest[start]
+    block = nearest[ends]
     node = np.where(depth[block[0]] > depth[apex], block[0], block[1] - n1)
     witness = np.where(capc == 0, cand, state.pred_arc[node])
     return delta, xoj, witness

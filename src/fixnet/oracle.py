@@ -2,8 +2,13 @@
 solution checker.
 
 The optimizer enumerates every open/closed pattern over the charged arcs and
-prices each pattern with an LP; Gray-code order means consecutive patterns
+prices each pattern with an LP. Gray-code order means consecutive patterns
 differ in one arc, so every LP after the first is a one-toggle warm start.
+The arcs the plain-cost LP is least likely to use, those of highest reduced
+cost there, take the bits that toggle most often, so most toggles change the
+cost of an arc the current LP leaves empty: the tree labels are kept and few
+pivots follow. A pattern whose re-solve does not pivot keeps the previous
+pattern's flows, and its objective is not recomputed.
 """
 
 from __future__ import annotations
@@ -62,6 +67,12 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
     TooLarge is raised otherwise. Charges follow actual flow, so an open arc
     left at zero pays nothing, and the minimum over all patterns is the exact
     optimum.
+
+    The charged arcs are ordered once, by descending reduced cost at the
+    plain-cost LP and then by descending unit cost, and the Gray-code bit
+    of rank i toggles the i-th; every pattern is still priced. The objective
+    is recomputed only when a re-solve pivots: without a pivot the flows,
+    and so the value, are the previous pattern's.
     """
     validate(problem)
     fc = np.flatnonzero(problem.fixed > 0).tolist()
@@ -73,6 +84,8 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
         raise TooLarge(f"unit costs sum past the capped big-M {state.bigm}, "
                        "so closing arcs by cost is unsound")
     bigm = float(state.bigm)
+    rc, cost = state.reduced_costs().tolist(), problem.cost.tolist()
+    fc.sort(key=lambda j: (-rc[j], -cost[j]))  # stable: full ties keep index order
 
     flows = state.real_flows()
     best_val = fc_objective(problem, flows)
@@ -85,7 +98,10 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
         arc = fc[bit]
         costs[arc] = bigm if costs[arc] != bigm else base[arc]
         explored += 1
+        pivots = state.pivot_count
         reoptimize(state, costs)
+        if state.pivot_count == pivots:
+            continue
         flows = state.real_flows()
         val = fc_objective(problem, flows)
         if val < best_val:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixnet import gits
 from fixnet import netcore as nc
-from fixnet import probio
+from fixnet import oracle, probio
 from ssp_reference import min_cost_flow
 
 
@@ -725,6 +725,100 @@ def test_valid_basis_checks_tree_labels(name, node, value):
         state.assert_valid_basis()
 
 
+# -- labels kept through cost changes ----------------------------------------------
+
+
+@pytest.fixture
+def entry_checked_optimize(monkeypatch):
+    """Every optimize call starts by checking the basis and its labels, so
+    labels that a cost change left stale fail before the first pricing.
+    Returns the list of checked calls."""
+    checked = []
+    optimize = nc.SimplexState.optimize
+
+    def gated(state):
+        state.assert_valid_basis()
+        checked.append(state)
+        return optimize(state)
+
+    monkeypatch.setattr(nc.SimplexState, "optimize", gated)
+    return checked
+
+
+def zero_or_costly_transport(seed):
+    """A 3x3 transportation instance whose arcs cost 0 or more than twice
+    the capped big-M: no costly arc can enter the big-M tree, which then
+    holds only zero-cost instance arcs, and a sink that only costly arcs
+    reach keeps its flow through the root."""
+    p = random_transport(np.random.default_rng(seed), 3, 3)
+    return nc.make_problem(p.supply, [(t, h, 0 if c <= 3 else c * 10**12, f, u)
+                                      for t, h, c, f, u in p.arcs])
+
+
+def test_feasibility_proof_relabels_when_only_root_costs_change(entry_checked_optimize):
+    # phase 1 prices real arcs 0, which changes no instance tree arc here;
+    # only the root arcs' working costs change, and they must relabel
+    proofs = 0
+    for seed in range(12):
+        p = zero_or_costly_transport(seed)
+        assert nc.default_bigm(p) == nc.BIGM_CAP
+        start = nc.SimplexState(p, p.cost)
+        start.optimize()
+        tree = np.flatnonzero(start.basic[: start.m])
+        assert np.all(p.cost[tree] == 0)
+        proofs += start.has_artificial_flow() and tree.size > 0
+        feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), [
+            (a.tail, a.head, a.cost, a.capacity) for a in p.arcs])
+        try:
+            state = nc.solve_lp(p, p.cost)
+        except nc.Infeasible:
+            assert not feasible
+            continue
+        assert feasible
+        assert sum(int(c) * int(x) for c, x in zip(p.cost, state.real_flows())) == ref_cost
+        assert_root_capped(state)
+    assert proofs >= 3
+
+
+def test_oracle_enumeration_keeps_valid_labels(entry_checked_optimize):
+    p = probio.generate_fctp(probio.FctpSpec(4, 4, total_supply=400, fc_count=12, seed=9000))
+    res = oracle.brute_force_opt(p, max_fc_arcs=14)
+    assert res.subsets_explored == len(entry_checked_optimize) == 2**12
+    assert res.optimum == nc.fc_objective(p, res.witness_flows)
+
+
+@pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
+def test_cost_changes_keep_labels_equal_to_a_rebuild(monkeypatch, make):
+    # fractional changes as penalties make them; a change confined to
+    # nonbasic arcs keeps the labels, one on a tree arc rebuilds them
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    rebuilds = []
+    rebuild = nc.SimplexState._rebuild
+    monkeypatch.setattr(nc.SimplexState, "_rebuild",
+                        lambda st: (st is state and rebuilds.append(1)) or rebuild(st))
+    rng = np.random.default_rng(11)
+    costs = p.cost.astype(np.float64)
+    for trial in range(40):
+        on_tree = trial % 2 == 1
+        pool = np.flatnonzero(state.basic[: state.m] == on_tree)
+        picks = rng.choice(pool, size=min(3, pool.size), replace=False)
+        costs = costs.copy()
+        costs[picks] += rng.uniform(0.5, 40.0, size=picks.size) * rng.choice([-1, 1], picks.size)
+        before = len(rebuilds)
+        root_cost = float(state.bigm) if trial % 4 == 0 else None
+        state.set_costs(costs, root_cost)
+        assert len(rebuilds) - before == on_tree
+        full = state.copy()
+        for name in LABELS:
+            getattr(full, name)[:] = -7
+        full._rebuild()
+        for name in LABELS:
+            assert np.array_equal(getattr(state, name), getattr(full, name)), name
+        state.assert_valid_basis()
+        state.optimize()
+
+
 # -- kept sweep answers ---------------------------------------------------------------
 
 
@@ -852,7 +946,7 @@ def test_second_sweep_without_a_pivot_answers_nothing_again(monkeypatch):
     first[2][:] = -1
     second = assert_sweep_matches_cycles(state, p)
     assert answered == [first[0].size]
-    # unchanged costs: set_costs relabels, no pivot, the kept answers stay
+    # unchanged costs: no relabel, no pivot, the kept answers stay
     nc.reoptimize(state, p.cost)
     assert_sweep_is_fresh(state)
     assert answered == [first[0].size]

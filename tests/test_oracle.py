@@ -163,6 +163,49 @@ def test_oracle_matches_exhaustive_table_enumeration():
         assert nc.fc_objective(p, got.witness_flows) == got.optimum
 
 
+def index_order_optimum(problem):
+    """Independent reference: every open/closed pattern of the charged arcs
+    in plain index order, a closed arc at capacity 0, each pattern solved
+    cold at the unit costs and charged for the arcs its flow uses."""
+    fc = np.flatnonzero(problem.fixed > 0)
+    best = None
+    for closed in itertools.product((False, True), repeat=fc.size):
+        cap = problem.cap.copy()
+        cap[fc[list(closed)]] = 0
+        q = nc.NetworkProblem(problem.supply, problem.tail, problem.head,
+                              problem.cost, problem.fixed, cap)
+        try:
+            flows = nc.solve_lp(q, q.cost).real_flows()
+        except nc.Infeasible:
+            continue
+        value = nc.fc_objective(problem, flows)
+        best = value if best is None else min(best, value)
+    return best
+
+
+ORDER_CASES = [
+    ("fctp", lambda seed: probio.generate_fctp(probio.FctpSpec(
+        3, 4, total_supply=60, fc_count=8, seed=seed))),
+    ("netgen", lambda seed: probio.generate_netgen_fc(probio.NetgenFcSpec(
+        nodes=7, source_count=2, sink_count=2, arc_count=10, total_supply=90,
+        cap_range=(30, 90), seed=seed))),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make", [m for _, m in ORDER_CASES], ids=[i for i, _ in ORDER_CASES])
+def test_reordered_enumeration_keeps_the_index_order_optimum(make, seed):
+    # the oracle toggles its charged arcs by reduced cost, not by index, and
+    # skips the objective of patterns whose re-solve does not pivot
+    p = make(seed)
+    k = int(np.count_nonzero(p.fixed))
+    res = oracle.brute_force_opt(p)
+    assert res.subsets_explored == 2**k
+    assert res.optimum == index_order_optimum(p)
+    report = oracle.check_solution(p, res.witness_flows)
+    assert report.feasible and report.objective == res.optimum
+
+
 def test_oracle_witness_consistency():
     p = small_fc_instance(11)
     res = oracle.brute_force_opt(p)
