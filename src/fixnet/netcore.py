@@ -28,6 +28,11 @@ import numpy as np
 BIGM_CAP = 10**12
 BIGM_FLOOR = 1000
 PRICE_TOL = 1e-7
+# A sweep answers its candidates by the linear walk when their count times
+# the tree depth is at most this, else by binary lifting. A walk climbs at
+# most twice the depth per candidate; at this bound it was never slower than
+# lifting on trees of depth 11 to 127.
+WALK_LIMIT = 1024
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -651,10 +656,12 @@ def evaluate_all_entering(state: SimplexState):
     a degenerate one with a witness: an arc of its cycle with no residual
     in the push direction. At that version they are returned as they are.
     One pivot later only the candidates `_touched` names are answered again;
-    after any other version jump every candidate is. The answers read
-    neither `work` nor `pot_work` but exact potentials derived from the
-    instance costs, so `set_costs` leaves them valid. The returned arrays
-    are new on each call.
+    after any other version jump every candidate is. `_answer` answers
+    them, by a linear walk up each cycle when the sweep is small and by
+    binary lifting when it is large; both give the same exact integers.
+    The answers read neither `work` nor `pot_work` but exact potentials
+    derived from the instance costs, so `set_costs` leaves them valid. The
+    returned arrays are new on each call.
     """
     cand = np.flatnonzero(~state.basic[: state.m])
     if state.sweep_version != state.version:
@@ -766,59 +773,144 @@ def _apex(jump: list, depth: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _answer(state: SimplexState, jump: list, cand: np.ndarray):
-    """(delta, objective delta, witness) of the given nonbasic arcs, by
-    binary lifting.
+    """(delta, objective delta, witness) of the given nonbasic arcs.
 
     Each candidate's cycle climbs on side a from the node the flow leaves
     (flow runs parent -> w on the arc pred[w] from node w to its parent)
     and on side b from the node it re-enters (w -> parent) to their common
-    ancestor, which `_apex` finds first on the jump tables alone. The bit
-    length of the longest side path sets how many levels the value tables
-    need.
+    ancestor, the apex. The arc pred[w] has one set of values per side,
+    stored at w in that side's half of the flattened level-0 tables: the
+    residual in the push direction, the charge released when the arc
+    decreases to that residual and the charge gained when it is increasing
+    and empty. The roots hold identity values. Over the entering arc's own
+    bound and both side paths, the combination takes the residual minimum
+    (the delta), the summed release charges of the arcs attaining it and
+    the gain sum.
 
-    The arc pred[w] has one set of values per side, stored at w in that
-    side's half of the flattened tables: the residual in the push
-    direction, the charge released when the arc decreases to that residual
-    and the charge gained when it is increasing and empty. Level l of the
-    tables combines them over the 2^l arcs from each node up to its 2^l-th
-    ancestor: the residual minimum with the summed release charges of the
-    arcs attaining it, and the gain sum. The roots hold identity values.
-    Both sides' paths are combined at once from the levels named by the
-    bits of their lengths, starting from the entering arc's own bound on
-    side a; a side that does not move at a level reads its root.
+    Two combinations give the same exact integers. `_walk` climbs each
+    cycle arc by arc and costs O(path length) Python steps per candidate;
+    `_lift` answers all candidates at once by binary lifting and costs a
+    fixed O(log depth) numpy calls plus O(log depth) work per candidate.
+    A sweep whose candidate count times tree depth is at most WALK_LIMIT
+    walks, a larger one lifts.
 
     The witness of a degenerate answer is the candidate itself when its
-    capacity is 0, else the pred arc of the nearest zero-residual node on
-    side a's path, or failing that on side b's; the nearest zero-residual
-    node at or above each node comes from pointer jumping. The linear term
-    reads exact potentials of the instance costs: root-path sums of the
-    tree arcs' signed costs.
+    capacity is 0, else the pred arc of the first zero-residual node on
+    side a's path from its end, or failing that on side b's. The linear
+    term reads exact potentials of the instance costs: root-path sums of
+    the tree arcs' signed costs.
     """
-    tail, head, depth = state.tail, state.head, state.depth
-    cap, flow, fixed, basec = state.cap, state.flow, state.fixed, state.base_cost
-    n1 = state.n + 1
-    side = np.array([[0], [n1]])  # where each side's half starts
-    roots = side + state.root
-
+    tail, head, flow, fixed, basec = (state.tail, state.head, state.flow,
+                                      state.fixed, state.base_cost)
+    e = state.pred_arc  # the root's entries are garbage until reset in _level0
+    up = tail[e] != state.parent  # side a decreases the arc, side b increases it
     lower = flow[cand] == 0
     tc, hc = tail[cand], head[cand]
     ends = np.where(lower, (tc, hc), (hc, tc))  # where the flow leaves, re-enters
+    capc, fj = state.cap[cand], fixed[cand]
+    gain_j = lower * fj  # gained when pushed up from 0
+    d0 = fj - gain_j  # the entering arc's own bound opens side a; released at 0
+    level0 = _level0(state, e, up)
+    if cand.size * int(state.depth.max()) <= WALK_LIMIT:
+        delta, drop, g, node = _walk(state, ends, capc, d0, level0)
+    else:
+        delta, drop, g, node = _lift(state, jump, ends, capc, d0, level0)
+
+    signed = np.where(up, basec[e], -basec[e])
+    signed[-1] = 0
+    pot = _root_path_sums(jump, signed)
+    rc = basec[cand] - pot[tc] + pot[hc]
+    xoj = np.where(lower, rc, -rc) * delta + (delta > 0) * (g + gain_j - drop)
+    witness = np.where(capc == 0, cand, e[node])
+    return delta, xoj, witness
+
+
+def _level0(state: SimplexState, e: np.ndarray, up: np.ndarray):
+    """Per node, the (residual, release, gain) of its pred arc e on side a,
+    then on side b, flattened as in `_jump_tables`; each root holds the
+    identity (no bound, nothing released or gained)."""
+    n1 = state.n + 1
+    both = np.concatenate([e, e])
+    down = np.concatenate([up, ~up])
+    f, c, xe = state.flow[both], state.cap[both], state.fixed[both]
+    res = np.where(down, f, c - f)
+    rel = down * xe
+    gain = ((f == 0) & ~down) * xe
+    res[n1 - 1 :: n1] = _INT64_MAX
+    rel[n1 - 1 :: n1] = 0
+    gain[n1 - 1 :: n1] = 0
+    return res, rel, gain
+
+
+def _walk(state: SimplexState, ends: np.ndarray, r0: np.ndarray, d0: np.ndarray, level0):
+    """(delta, released charges, gain sum, witness node) per candidate by
+    climbing its two ends with parent pointers, the deeper first, until
+    they meet at the apex, folding each pred arc's level-0 values on its
+    side into the one running (minimum, ties' release sum, gain sum) that
+    starts from the entering arc's (r0, d0). The fold is a commutative
+    monoid, so the interleaving of the sides does not matter; each side's
+    first zero residual from its end is the witness candidate. Python
+    lists throughout: no numpy call per step or per candidate."""
+    n1 = state.n + 1
+    parent, depth = state.parent.tolist(), state.depth.tolist()
+    res, rel, gain = (t.tolist() for t in level0)
+    out = []
+    for a, b, r, d in zip(*ends.tolist(), r0.tolist(), d0.tolist()):
+        g = 0
+        wa = wb = -1
+        da, db = depth[a], depth[b]
+        while a != b:
+            if da >= db:
+                x = res[a]
+                if x < r:
+                    r, d = x, rel[a]
+                elif x == r:
+                    d += rel[a]
+                g += gain[a]
+                if x == 0 and wa < 0:
+                    wa = a
+                a = parent[a]
+                da -= 1
+            else:
+                y = b + n1
+                x = res[y]
+                if x < r:
+                    r, d = x, rel[y]
+                elif x == r:
+                    d += rel[y]
+                g += gain[y]
+                if x == 0 and wb < 0:
+                    wb = b
+                b = parent[b]
+                db -= 1
+        out.append((r, d, g, wa if wa >= 0 else wb))
+    return np.array(out, dtype=np.int64).reshape(-1, 4).T
+
+
+def _lift(state: SimplexState, jump: list, ends: np.ndarray, r0: np.ndarray,
+          d0: np.ndarray, level0):
+    """(delta, released charges, gain sum, witness node) per candidate by
+    binary lifting.
+
+    `_apex` finds each cycle's apex on the jump tables alone; the bit
+    length of the longest side path sets how many levels the value tables
+    need. Level l of the tables combines the level-0 values over the 2^l
+    arcs from each node up to its 2^l-th ancestor: the residual minimum
+    with the summed release charges of the arcs attaining it, and the gain
+    sum. Both sides' paths are combined at once from the levels named by
+    the bits of their lengths, starting from (r0, d0) on side a; a side
+    that does not move at a level reads its root. The nearest zero-residual
+    node at or above each node comes from pointer jumping.
+    """
+    depth = state.depth
+    n1 = state.n + 1
+    side = np.array([[0], [n1]])  # where each side's half starts
+    roots = side + state.root
     apex = _apex(jump, depth, ends)
     steps = depth[ends] - depth[apex]
     levels = int(steps.max()).bit_length()
 
-    # Level 0: per node, the pred arc's values on side a, then on side b.
-    e = state.pred_arc  # the root's entries are garbage until reset below
-    up = tail[e] != state.parent  # side a decreases the arc, side b increases it
-    both = np.concatenate([e, e])
-    down = np.concatenate([up, ~up])
-    f, c, xe = flow[both], cap[both], fixed[both]
-    res = [np.where(down, f, c - f)]
-    rel = [down * xe]
-    gain = [((f == 0) & ~down) * xe]
-    res[0][n1 - 1 :: n1] = _INT64_MAX
-    rel[0][n1 - 1 :: n1] = 0
-    gain[0][n1 - 1 :: n1] = 0
+    res, rel, gain = ([t] for t in level0)
     for a in jump[: levels - 1]:
         r, d = _meet(res[-1], rel[-1], res[-1][a], rel[-1][a])
         res.append(r)
@@ -829,12 +921,11 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
     for _ in range(levels):
         nearest = nearest[nearest]
 
-    capc, fj = cap[cand], fixed[cand]
-    gain_j = lower * fj  # gained when pushed up from 0
-    r = np.array((capc, np.full(cand.size, _INT64_MAX)))
-    d = np.array((fj - gain_j, np.zeros(cand.size, dtype=np.int64)))  # released at 0
-    g = np.zeros((2, cand.size), dtype=np.int64)
-    ends += side  # from here on, positions in the flattened tables
+    k = r0.size
+    r = np.array((r0, np.full(k, _INT64_MAX)))
+    d = np.array((d0, np.zeros(k, dtype=np.int64)))
+    g = np.zeros((2, k), dtype=np.int64)
+    ends = ends + side  # positions in the flattened tables
     cur = ends
     for level, a in enumerate(jump[:levels]):
         move = (steps & (1 << level)) != 0
@@ -844,13 +935,6 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
         cur = np.where(move, a[cur], cur)
     delta, drop = _meet(r[0], d[0], r[1], d[1])
 
-    signed = np.where(up, basec[e], -basec[e])
-    signed[-1] = 0
-    pot = _root_path_sums(jump, signed)
-    rc = basec[cand] - pot[tc] + pot[hc]
-    xoj = np.where(lower, rc, -rc) * delta + (delta > 0) * (g[0] + g[1] + gain_j - drop)
-
     block = nearest[ends]
     node = np.where(depth[block[0]] > depth[apex], block[0], block[1] - n1)
-    witness = np.where(capc == 0, cand, state.pred_arc[node])
-    return delta, xoj, witness
+    return delta, drop, g[0] + g[1], node

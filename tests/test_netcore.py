@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -328,6 +329,25 @@ def test_evaluate_matches_pivot_recompute_everywhere():
 # -- evaluate_all_entering --------------------------------------------------------
 
 
+# WALK_LIMIT values that force every sweep through one combination
+SWEEP_PATHS = {"walk": 2**62, "lift": -1}
+
+
+@contextlib.contextmanager
+def sweep_path(monkeypatch, path):
+    """Answer every sweep inside the block by one combination, "walk" or
+    "lift", and check on leaving that it ran and the other did not."""
+    ran = collections.Counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(nc, "WALK_LIMIT", SWEEP_PATHS[path])
+        for name in ("walk", "lift"):
+            combine = getattr(nc, "_" + name)
+            patch.setattr(nc, "_" + name, lambda *args, combine=combine, name=name: (
+                ran.update([name]) or combine(*args)))
+        yield
+    assert ran[path] > 0 and set(ran) == {path}, ran
+
+
 def assert_sweep_matches_cycles(state, p):
     """Check the sweep on every nonbasic instance arc against
     evaluate_fc_entering: equal deltas and objective deltas, every entry
@@ -373,8 +393,14 @@ def rail_ladder(depth):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33])
-def test_sweep_matches_cycle_walk_on_deep_trees(depth):
-    # the depths straddle every power of two, where the sweep adds a level
+def test_sweep_matches_cycle_walk_on_deep_trees(monkeypatch, depth):
+    # the depths straddle every power of two, where the lifting adds a level
+    for path in SWEEP_PATHS:
+        with sweep_path(monkeypatch, path):
+            check_sweeps_on_rail_ladder(depth)
+
+
+def check_sweeps_on_rail_ladder(depth):
     p = rail_ladder(depth)
     state = nc.solve_lp(p, p.cost)
     assert int(state.depth.max()) == depth
@@ -401,7 +427,7 @@ def test_sweep_matches_cycle_walk_on_deep_trees(depth):
         assert_sweep_matches_cycles(cold, p)
 
 
-def test_sweep_on_fresh_all_artificial_state():
+def test_sweep_on_fresh_all_artificial_state(monkeypatch):
     # sources 0 and 1, sinks 2 and 4, transshipment node 3
     p = nc.make_problem([3, 2, -4, 0, -1], [
         (0, 2, 1, 5, 9), (2, 0, 1, 5, 9), (1, 3, 1, 5, 9), (3, 4, 1, 5, 9),
@@ -409,13 +435,16 @@ def test_sweep_on_fresh_all_artificial_state():
     ])
     state = nc.SimplexState(p, p.cost)
     assert int(state.depth.max()) == 1
-    cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
-    # before solve_lp caps them, positive pushes both drain and fill the
-    # artificial arcs, and the sweep prices either kind exactly
-    fills = [any(e >= state.m and s > 0 for e, s in state._cycle(j, 1)[2])
-             for j in cand.tolist()]
-    pos = delta > 0
-    assert pos.any() and {fills[i] for i in np.flatnonzero(pos)} == {True, False}
+    for path in SWEEP_PATHS:
+        state.sweep_version = -1  # drop the kept answers
+        with sweep_path(monkeypatch, path):
+            cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
+        # before solve_lp caps them, positive pushes both drain and fill the
+        # artificial arcs, and the sweep prices either kind exactly
+        fills = [any(e >= state.m and s > 0 for e, s in state._cycle(j, 1)[2])
+                 for j in cand.tolist()]
+        pos = delta > 0
+        assert pos.any() and {fills[i] for i in np.flatnonzero(pos)} == {True, False}
 
 
 def test_sweep_with_no_nonbasic_arc():
@@ -441,7 +470,7 @@ def two_legs(feeder_cap=4, shortcut_cap=9):
     ])
 
 
-def test_sweep_sums_every_tied_release_on_both_sides():
+def test_sweep_sums_every_tied_release_on_both_sides(monkeypatch):
     # every leg arc carries 4, so the shortcut empties all six at once
     p = two_legs()
     state = nc.solve_lp(p, p.cost)
@@ -449,11 +478,14 @@ def test_sweep_sums_every_tied_release_on_both_sides():
     at = [e for e, _ in cycle].index(7)
     assert sorted(e for e, s in cycle[:at] if s < 0) == [0, 1, 2]
     assert sorted(e for e, s in cycle[at + 1:] if s < 0) == [3, 4, 5]
-    cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
-    assert cand.tolist() == [6, 7] and delta.tolist() == [4, 4] and ok.all()
-    # feeder: -(-13) * 4 - (1 + 2 + 4) - 64 for its own charge at its bound
-    # shortcut: 20 * 4 + 128 - (1 + 2 + 4 + 8 + 16 + 32)
-    assert xoj.tolist() == [-19, 145]
+    for path in SWEEP_PATHS:
+        state.sweep_version = -1  # drop the kept answers
+        with sweep_path(monkeypatch, path):
+            cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
+        assert cand.tolist() == [6, 7] and delta.tolist() == [4, 4] and ok.all()
+        # feeder: -(-13) * 4 - (1 + 2 + 4) - 64 for its own charge at its bound
+        # shortcut: 20 * 4 + 128 - (1 + 2 + 4 + 8 + 16 + 32)
+        assert xoj.tolist() == [-19, 145]
 
 
 @pytest.mark.parametrize("feeder_cap,shortcut_cap,leaving", [
@@ -898,39 +930,48 @@ def checked_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
-def test_kept_sweep_is_exact_through_cold_solves_and_warm_starts(checked_sweeps, make):
+def test_kept_sweep_is_exact_through_cold_solves_and_warm_starts(monkeypatch, checked_sweeps,
+                                                                 make):
     # only the FCTP instance's solves flip a real arc between its bounds; on
     # neither does a capped root arc enter
     p = make()
-    state = nc.solve_lp(p, p.cost)
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
     kinds = ("a", "b", "degenerate", "root leaves", "one past")
-    for kind in kinds + (("flip",) if make is fctp_instance else ()):
-        assert checked_sweeps[kind] > 0, kind
-    assert checked_sweeps["zero capacity entered"] == 0
+    for path in SWEEP_PATHS:
+        checked_sweeps.clear()
+        with sweep_path(monkeypatch, path):
+            state = nc.solve_lp(p, p.cost)
+            rng = np.random.default_rng(3)
+            for _ in range(3):
+                nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
+        for kind in kinds + (("flip",) if make is fctp_instance else ()):
+            assert checked_sweeps[kind] > 0, (path, kind)
+        assert checked_sweeps["zero capacity entered"] == 0
 
 
-def test_kept_sweep_is_exact_through_fc_pivots(checked_sweeps):
+def test_kept_sweep_is_exact_through_fc_pivots(monkeypatch, checked_sweeps):
     # the search's own moves, with degenerate exchanges among them
     p = fctp_instance()
-    state = nc.solve_lp(p, p.cost + 0.37)
-    checked_sweeps.clear()
-    rng = np.random.default_rng(12)
-    for step in range(60):
-        cand, delta, xoj, ok = nc.evaluate_all_entering(state)
-        pos = int(np.argmin(xoj)) if step % 3 else int(rng.integers(cand.size))
-        nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pos])))
-    for kind in ("a", "b", "degenerate", "witness skip", "witness on cycle"):
-        assert checked_sweeps[kind] > 0, kind
-    assert checked_sweeps["one past"] == 60
+    for path in SWEEP_PATHS:
+        with sweep_path(monkeypatch, path):
+            state = nc.solve_lp(p, p.cost + 0.37)
+            checked_sweeps.clear()
+            rng = np.random.default_rng(12)
+            for step in range(60):
+                cand, delta, xoj, ok = nc.evaluate_all_entering(state)
+                pos = int(np.argmin(xoj)) if step % 3 else int(rng.integers(cand.size))
+                nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pos])))
+        for kind in ("a", "b", "degenerate", "witness skip", "witness on cycle"):
+            assert checked_sweeps[kind] > 0, (path, kind)
+        assert checked_sweeps["one past"] == 60
 
 
-def test_kept_sweep_is_exact_on_deep_trees(checked_sweeps):
+def test_kept_sweep_is_exact_on_deep_trees(monkeypatch, checked_sweeps):
     p = rail_ladder(33)
-    nc.solve_lp(p, p.cost)
-    assert checked_sweeps["a"] + checked_sweeps["b"] >= 33
+    for path in SWEEP_PATHS:
+        checked_sweeps.clear()
+        with sweep_path(monkeypatch, path):
+            nc.solve_lp(p, p.cost)
+        assert checked_sweeps["a"] + checked_sweeps["b"] >= 33, path
 
 
 def test_second_sweep_without_a_pivot_answers_nothing_again(monkeypatch):
