@@ -198,6 +198,9 @@ def _suite_testset2(base_seed: int):
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = args.seed if args.seed is not None else 0

@@ -270,25 +270,25 @@ class GhostImageSearch:
         self.mem: Optional[SearchMemory] = None
         self.collect_trace = collect_trace
         self.move_log: list = []
-        self.trace: list = []
         self.total_inside = 0
         self.xdd_val = 0
 
-    # -- global best bookkeeping --------------------------------------------
+    # -- incumbents -----------------------------------------------------------
 
-    def _record_global(self, set_gbest_iter: bool = False, set_best_pass: bool = False) -> None:
-        if self.xg is None or self.xstar_val < self.xg_val:
-            self.xg_val = self.xstar_val
-            self.xg = self.xstar.copy()
-            if set_gbest_iter:
-                self.mem.gbest_iter = self.mem.jiter
-            if set_best_pass:
-                self.mem.best_pass = self.mem.pass_num
-            self.trace.append(self.xg_val)
-
-    def _v_update(self) -> None:
-        v_update(self.pen, self.xstar, self.params)
-        self._record_global(set_gbest_iter=True)
+    def _take_local_best(self, x: np.ndarray, value: int) -> None:
+        """Make flows x of fixed-charge value `value` the local best and blend
+        them into v. The only writer of both incumbents after the bootstrap,
+        but for mini_diversify's threshold: a strict improvement on the global
+        best copies x, extends the trace and dates it (gbest_iter, best_pass)."""
+        self.xstar = x
+        self.xstar_val = value
+        v_update(self.pen, x, self.params)
+        if value < self.xg_val:
+            self.xg = x.copy()
+            self.xg_val = value
+            self.trace.append(value)
+            self.mem.gbest_iter = self.mem.jiter
+            self.mem.best_pass = self.mem.pass_num
 
     def _keep_if_better(self, inside_iter: int) -> bool:
         """Take the current flows as the local best when they improve on it,
@@ -297,9 +297,7 @@ class GhostImageSearch:
             return False
         self.mem.improve = True
         self.mem.last_inside_improve = inside_iter
-        self.xstar_val = self.xdd_val
-        self.xstar = self.state.real_flows()
-        self._v_update()
+        self._take_local_best(self.state.real_flows(), self.xdd_val)
         return True
 
     # -- the ghost image: LP(p) under the current penalties ------------------
@@ -317,9 +315,7 @@ class GhostImageSearch:
         xo = fc_objective(self.problem, x)
         pen.raise_u0(x)
         if force or xo < self.xstar_val:
-            self.xstar_val = xo
-            self.xstar = x
-            self._v_update()
+            self._take_local_best(x, xo)
         self.mem.zero_now = (x == 0) & self.fc_mask
 
     # -- bootstrap: initial LP, first penalties, first test solution ---------
@@ -333,10 +329,9 @@ class GhostImageSearch:
 
         x = self.state.real_flows()
         self.xstar = x
-        self.xstar_val = fc_objective(self.problem, x)
-        self.xg = None
-        self.xg_val = self.bigm
-        self.trace = []
+        self.xstar_val = self.xg_val = fc_objective(self.problem, x)
+        self.xg = x.copy()
+        self.trace = [self.xg_val]
 
         i = self.fc_idx
         self.pen = Penalties(
@@ -452,9 +447,8 @@ class GhostImageSearch:
         pen = self.pen
         i = pen.fc_idx
         pen.v[i] = np.maximum(pen.u_o - pen.v[i], 1.0)
-        self._record_global()
-        # every flow costs less than bigm unless BIGM_CAP binds; then restart
-        # from the global best, or the stale xstar would be recorded at bigm
+        # the next flows below this become the local best: any flow unless
+        # BIGM_CAP binds, else only flows that beat the global best
         self.xstar_val = max(self.bigm, self.xg_val)
 
     def dup_check(self) -> bool:
@@ -481,7 +475,6 @@ class GhostImageSearch:
     def diversify(self) -> None:
         """Frequency-based restart of v from the zero-pattern counts."""
         prm, mem, pen = self.params, self.mem, self.pen
-        self._record_global(set_best_pass=True)
         if mem.pass_num == prm.MaxPass:
             raise _StopSearch
         mem.pass_num += 1
@@ -525,7 +518,6 @@ class GhostImageSearch:
                 self.dup_check()
         except _StopSearch:
             pass
-        self._record_global(set_best_pass=True)
         elapsed = time.perf_counter() - t0
         return RunResult(
             best_flows=self.xg.copy(),

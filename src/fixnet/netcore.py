@@ -428,21 +428,22 @@ class SimplexState:
         j = int(np.argmax(viol))
         return j if viol[j] > PRICE_TOL else -1
 
-    def _cycle(self, j: int, dirn: int):
-        """Ratio test over the basis cycle of arc j pushed in direction dirn.
+    def _cycle(self, j: int):
+        """Ratio test over the basis cycle of nonbasic arc j in its push direction.
 
         Returns (delta, leaving arc, cycle). The cycle lists (arc, sign) pairs
         in push order from the apex: down to the node the flow leaves the
         tree, j, then up from the node where it re-enters. Sign is +1 where
-        cycle flow increases the arc. The leaving arc is the last one in this
-        order that blocks, which keeps the tree strongly feasible.
+        cycle flow increases the arc; j's is +1 at flow 0, else -1. The
+        leaving arc is the last one in this order that blocks, which keeps
+        the tree strongly feasible.
         """
         tail, parent, pred, depth = self.tail, self.parent, self.pred_arc, self.depth
         flow, cap = self.flow, self.cap
-        if dirn > 0:
-            na, nb = int(tail[j]), int(self.head[j])
-        else:
-            na, nb = int(self.head[j]), int(tail[j])
+        dirn = 1 if flow[j] == 0 else -1
+        na, nb = int(tail[j]), int(self.head[j])
+        if dirn < 0:
+            na, nb = nb, na
         path_a = []  # cycle flow runs parent -> node while climbing
         path_b = []  # cycle flow runs node -> parent while climbing
         while na != nb:
@@ -478,20 +479,20 @@ class SimplexState:
         refused before anything changes.
         """
         flow = self.flow
-        dirn = 1 if flow[j] == 0 else -1
         moved = -1
         arcs = [e for e, _ in cycle]
         if k not in arcs:
             raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
-        fk = int(flow[k]) + cycle[arcs.index(k)][1] * delta
+        at_k, at_j = arcs.index(k), arcs.index(j)
+        fk = int(flow[k]) + cycle[at_k][1] * delta
         if fk != 0 and fk != self.cap[k]:
             raise SimplexStalled(f"leaving arc {k} not at a bound (flow {fk})")
         if k != j:
             na, nb = int(self.tail[j]), int(self.head[j])
-            if dirn < 0:
+            if cycle[at_j][1] < 0:
                 na, nb = nb, na
             # p: the endpoint of j still joined to the root once k is dropped
-            p = nb if arcs.index(k) < arcs.index(j) else na
+            p = nb if at_k < at_j else na
             moved = na + nb - p
         if delta:
             for e, s in cycle:
@@ -516,7 +517,7 @@ class SimplexState:
             j = self._price()
             if j < 0:
                 return steps
-            delta, k, cycle = self._cycle(j, 1 if self.flow[j] == 0 else -1)
+            delta, k, cycle = self._cycle(j)
             self._apply(j, k, delta, cycle)
             steps += 1
             if steps > limit:
@@ -608,7 +609,7 @@ def evaluate_fc_entering(state: SimplexState, problem: NetworkProblem, j: int) -
         raise ValueError(f"arc index {j} out of range")
     if state.basic[j]:
         raise ValueError(f"arc {j} is basic; entering arc must be nonbasic")
-    delta, k, cycle = state._cycle(j, 1 if state.flow[j] == 0 else -1)
+    delta, k, cycle = state._cycle(j)
 
     objective_delta = 0
     if delta > 0:
@@ -714,13 +715,15 @@ def _touched(state: SimplexState, jump: list, cand: np.ndarray) -> np.ndarray:
     the leaving arc straddles the cut. So the test is on the changed path
     when there is one, else on the cut, and the leaving arc always passes.
 
-    The changed path splits at its apex into chains A and B. Each node
-    counts the chain-A nodes and |A| + 1 times the chain-B nodes among its
-    ancestors-or-self, by `_root_path_sums`. A path shares an arc
-    with a chain iff that chain's count differs between its endpoints, and
-    a chain's count is at most its length, so iff the packed count does.
-    Without a changed path the only node counted is T's root, so the count
-    is 1 in T and 0 elsewhere.
+    The changed path is the pivot's cycle without k. With i the position of
+    k in the cycle, the first i arcs and the rest form chains A and B of the
+    new tree, each from an endpoint of k up to the old apex, on either side
+    of an exchange and on a bound flip. Each node counts the child endpoints
+    of chain-A arcs and i + 1 times those of chain-B arcs among its
+    ancestors-or-self, by `_root_path_sums`. A path shares an arc with a
+    chain iff that chain's count differs between its endpoints, and chain
+    A's is at most i, so iff the packed count does. Without a changed path
+    the only node counted is T's root: 1 in T and 0 elsewhere.
 
     Of the candidates this test passes, one whose kept answer is degenerate
     keeps it while its witness is off the pivot's cycle C. The new cycle of
@@ -735,18 +738,11 @@ def _touched(state: SimplexState, jump: list, cand: np.ndarray) -> np.ndarray:
     tail, head = state.tail, state.head
     count = np.zeros(state.n + 1, dtype=np.int64)
     if delta:
-        parent, depth = state.parent, state.depth
-        a, b = int(tail[k]), int(head[k])
-        chain_a, chain_b = [], []
-        while a != b:
-            if depth[a] >= depth[b]:
-                chain_a.append(a)
-                a = int(parent[a])
-            else:
-                chain_b.append(b)
-                b = int(parent[b])
-        count[chain_a] = 1
-        count[chain_b] = len(chain_a) + 1
+        i = arcs.index(k)
+        path = np.array(arcs[:i] + arcs[i + 1 :], dtype=np.int64)
+        child = np.where(state.pred_arc[tail[path]] == path, tail[path], head[path])
+        count[child[:i]] = 1
+        count[child[i:]] = i + 1
     elif moved >= 0:
         count[moved] = 1
     _root_path_sums(jump, count)

@@ -70,9 +70,11 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
 
     The charged arcs are ordered once, by descending reduced cost at the
     plain-cost LP and then by descending unit cost, and the Gray-code bit
-    of rank i toggles the i-th; every pattern is still priced. The objective
-    is recomputed only when a re-solve pivots: without a pivot the flows,
-    and so the value, are the previous pattern's.
+    of rank i toggles the i-th; every pattern is still priced. Raising the
+    cost of a nonbasic arc at 0, or lowering it at capacity, keeps the basis
+    optimal, so that toggle is not re-solved; the next re-solve installs the
+    whole vector. The objective is recomputed only when a re-solve pivots:
+    without a pivot the flows, and so the value, are the previous pattern's.
     """
     validate(problem)
     fc = np.flatnonzero(problem.fixed > 0).tolist()
@@ -90,14 +92,15 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
     flows = state.real_flows()
     best_val = fc_objective(problem, flows)
     best_flows = flows
-    explored = 1
 
     costs = base.copy()
     for step in range(1, 1 << len(fc)):
         bit = (step & -step).bit_length() - 1
         arc = fc[bit]
-        costs[arc] = bigm if costs[arc] != bigm else base[arc]
-        explored += 1
+        raised = costs[arc] != bigm
+        costs[arc] = bigm if raised else base[arc]
+        if not state.basic[arc] and (state.flow[arc] == 0) == raised:
+            continue
         pivots = state.pivot_count
         reoptimize(state, costs)
         if state.pivot_count == pivots:
@@ -108,4 +111,4 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
             best_val = val
             best_flows = flows
     return OracleResult(optimum=best_val, witness_flows=best_flows,
-                        subsets_explored=explored, proven=True)
+                        subsets_explored=1 << len(fc), proven=True)

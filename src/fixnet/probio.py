@@ -194,6 +194,8 @@ def generate_fctp(spec: FctpSpec) -> NetworkProblem:
     m, n = spec.sources, spec.sinks
     if m < 1 or n < 1:
         raise InfeasibleSpec("need at least one source and one sink")
+    if spec.seed < 0:
+        raise InfeasibleSpec(f"seed {spec.seed} is negative")
     _check_range("cost", spec.cost_range)
     _check_range("fixed-charge", spec.fc_range)
     if spec.total_supply < max(m, n):
@@ -233,6 +235,8 @@ def generate_netgen_fc(spec: NetgenFcSpec) -> NetworkProblem:
     N, s, t = spec.nodes, spec.source_count, spec.sink_count
     if s < 1 or t < 1 or s + t > N:
         raise InfeasibleSpec("source/sink counts must be positive and fit the node count")
+    if spec.seed < 0:
+        raise InfeasibleSpec(f"seed {spec.seed} is negative")
     if spec.arc_count < N - 1:
         raise InfeasibleSpec(f"arc count {spec.arc_count} below spanning minimum {N - 1}")
     if spec.arc_count > N * (N - 1):

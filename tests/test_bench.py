@@ -230,6 +230,15 @@ def test_generate_requires_a_mode(capsys):
     assert run_cli(["generate"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--count", "0"], ["--count", "-2"]],
+                         ids=["seed", "count0", "count-2"])
+def test_generate_rejects_a_negative_seed_and_a_count_below_one(tmp_path, capsys, flags):
+    rc = run_cli(["generate", "--fctp", "4x4", "--out-dir", str(tmp_path), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.fcnf"))
+
+
 # -- bench --------------------------------------------------------------------
 
 

@@ -169,17 +169,8 @@ def test_mini_diversify_is_involution_in_the_interior():
     pen.u_o = 100
     pen.v[pen.fc_idx] = [30.0, 60.0]
     eng.mini_diversify()
-    eng.xstar_val = 10**9  # keep the follow-up global-best check quiet
     eng.mini_diversify()
     assert list(pen.v[pen.fc_idx]) == [30.0, 60.0]
-
-
-def test_mini_diversify_records_global_best():
-    eng = bootstrapped_engine()
-    eng.xstar = eng.state.real_flows()
-    eng.xstar_val = 1  # strictly better than anything recorded so far
-    eng.mini_diversify()
-    assert eng.xg_val == 1
 
 
 # -- dup_check ----------------------------------------------------------------------
@@ -301,11 +292,8 @@ def test_diversify_stops_at_pass_budget():
     prm = gits.Params(MaxPass=2)
     eng = bootstrapped_engine(params=prm)
     eng.mem.pass_num = 2
-    eng.xstar_val = 1
-    eng.xstar = eng.state.real_flows()
     with pytest.raises(gits._StopSearch):
         eng.diversify()
-    assert eng.xg_val == 1  # global best recorded before stopping
 
 
 # -- phase1_restrict ---------------------------------------------------------------
@@ -507,6 +495,41 @@ def test_run_trace_is_strictly_decreasing_and_consistent():
     assert all(x > y for x, y in zip(res.gbest_trace, res.gbest_trace[1:]))
     assert res.gbest_trace[-1] == res.best_value
     assert nc.fc_objective(p, res.best_flows) == res.best_value
+
+
+def late_best_instance():
+    # with LimMatch=1 the search diversifies often, and its best comes late
+    return probio.generate_fctp(probio.FctpSpec(6, 6, total_supply=150, fc_range=(200, 800),
+                                                seed=23))
+
+
+def test_run_dates_the_best_by_the_pass_and_outer_iteration_that_found_it():
+    res = gits.run(late_best_instance(), gits.Params(LimMatch=1))
+    assert (res.best_value, res.best_pass, res.gbest_iter) == (4464, 9, 27)
+
+
+def test_global_best_is_the_least_of_the_lp_and_every_local_best_taken():
+    p = late_best_instance()
+    lp = nc.fc_objective(p, nc.solve_lp(p, p.cost.astype(np.float64)).real_flows())
+    eng = gits.GhostImageSearch(p, gits.Params(LimMatch=1))
+    take = eng._take_local_best
+    taken = [lp]
+    dates = []
+
+    def spy(x, value):
+        take(x, value)
+        if value < min(taken):
+            dates.append((eng.mem.pass_num, eng.mem.jiter))
+        taken.append(value)
+        assert eng.xstar_val == value and eng.xg_val == min(taken)
+        assert nc.fc_objective(p, eng.xg) == eng.xg_val
+
+    eng._take_local_best = spy
+    res = eng.run()
+    assert len(taken) > len(res.gbest_trace) > 1
+    assert res.gbest_trace[0] == lp
+    assert res.best_value == min(taken) == res.gbest_trace[-1]
+    assert dates[-1] == (res.best_pass, res.gbest_iter)
 
 
 def test_run_small_batch_quality_sanity():

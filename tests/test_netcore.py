@@ -40,11 +40,6 @@ def random_transport(rng, m, n, cmax=8, fmax=0, cap_lo=4, cap_hi=14):
     return nc.make_problem(supply, arcs)
 
 
-def push(state, j):
-    """Direction a nonbasic arc is pushed in: up from 0, else down from its capacity."""
-    return 1 if state.flow[j] == 0 else -1
-
-
 # -- validate -----------------------------------------------------------------
 
 
@@ -441,7 +436,7 @@ def test_sweep_on_fresh_all_artificial_state(monkeypatch):
             cand, delta, xoj, ok = assert_sweep_matches_cycles(state, p)
         # before solve_lp caps them, positive pushes both drain and fill the
         # artificial arcs, and the sweep prices either kind exactly
-        fills = [any(e >= state.m and s > 0 for e, s in state._cycle(j, 1)[2])
+        fills = [any(e >= state.m and s > 0 for e, s in state._cycle(j)[2])
                  for j in cand.tolist()]
         pos = delta > 0
         assert pos.any() and {fills[i] for i in np.flatnonzero(pos)} == {True, False}
@@ -474,7 +469,7 @@ def test_sweep_sums_every_tied_release_on_both_sides(monkeypatch):
     # every leg arc carries 4, so the shortcut empties all six at once
     p = two_legs()
     state = nc.solve_lp(p, p.cost)
-    _, _, cycle = state._cycle(7, 1)
+    _, _, cycle = state._cycle(7)
     at = [e for e, _ in cycle].index(7)
     assert sorted(e for e, s in cycle[:at] if s < 0) == [0, 1, 2]
     assert sorted(e for e, s in cycle[at + 1:] if s < 0) == [3, 4, 5]
@@ -497,7 +492,7 @@ def test_sweep_sums_every_tied_release_on_both_sides(monkeypatch):
 def test_ratio_test_takes_the_last_blocking_arc_in_push_order(feeder_cap, shortcut_cap, leaving):
     p = two_legs(feeder_cap, shortcut_cap)
     state = nc.solve_lp(p, p.cost)
-    delta, k, cycle = state._cycle(7, 1)
+    delta, k, cycle = state._cycle(7)
     assert cycle == [(2, -1), (1, -1), (0, -1), (7, 1), (5, -1), (4, -1), (3, -1)]
     assert (delta, k) == (min(feeder_cap, shortcut_cap), leaving)
     nc.pivot(state, nc.evaluate_fc_entering(state, p, 7))
@@ -693,7 +688,7 @@ def test_valid_basis_refuses_nonbasic_arc_between_its_bounds():
     state = nc.solve_lp(p, p.cost)
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
     j = int(next(j for j, d in zip(cand, delta) if d > 0 and state.cap[j] > 1))
-    for e, s in state._cycle(j, push(state, j))[2]:
+    for e, s in state._cycle(j)[2]:
         state.flow[e] += s
     with pytest.raises(nc.SimplexStalled, match="away from its bound"):
         state.assert_valid_basis()
@@ -812,10 +807,28 @@ def test_feasibility_proof_relabels_when_only_root_costs_change(entry_checked_op
     assert proofs >= 3
 
 
-def test_oracle_enumeration_keeps_valid_labels(entry_checked_optimize):
+def test_oracle_enumeration_keeps_valid_labels(monkeypatch, entry_checked_optimize):
+    # every optimize is the cold solve's or one warm re-solve's; toggles that
+    # cannot pivot are not re-solved, yet every pattern is still priced
     p = probio.generate_fctp(probio.FctpSpec(4, 4, total_supply=400, fc_count=12, seed=9000))
+    cold, warm = [], []
+    solve_lp, reoptimize = oracle.solve_lp, oracle.reoptimize
+
+    def counted_solve_lp(*args):
+        state = solve_lp(*args)
+        cold.append(len(entry_checked_optimize))
+        return state
+
+    def counted_reoptimize(*args):
+        warm.append(1)
+        return reoptimize(*args)
+
+    monkeypatch.setattr(oracle, "solve_lp", counted_solve_lp)
+    monkeypatch.setattr(oracle, "reoptimize", counted_reoptimize)
     res = oracle.brute_force_opt(p, max_fc_arcs=14)
-    assert res.subsets_explored == len(entry_checked_optimize) == 2**12
+    assert len(cold) == 1 and 0 < len(warm) < 2**12 - 1
+    assert len(entry_checked_optimize) == cold[0] + len(warm)
+    assert res.subsets_explored == 2**12
     assert res.optimum == nc.fc_objective(p, res.witness_flows)
 
 
@@ -868,7 +881,7 @@ def assert_sweep_is_fresh(state):
     # blocks the push at 0
     cand, delta = got[0], got[1]
     for j in cand[delta == 0].tolist():
-        _, _, cycle = state._cycle(j, push(state, j))
+        _, _, cycle = state._cycle(j)
         residual = {e: int(state.cap[e] - state.flow[e]) if s > 0 else int(state.flow[e])
                     for e, s in cycle}
         assert residual.get(int(state.sweep_witness[j])) == 0, j
@@ -922,7 +935,7 @@ def checked_sweeps(monkeypatch):
             else:
                 assert c not in redo, c
                 if delta:
-                    _, _, new = state._cycle(c, push(state, c))
+                    _, _, new = state._cycle(c)
                     seen["witness skip"] += any(e in on_cycle for e, _ in new)
 
     monkeypatch.setattr(nc.SimplexState, "_apply", checked)

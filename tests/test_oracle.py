@@ -206,6 +206,32 @@ def test_reordered_enumeration_keeps_the_index_order_optimum(make, seed):
     assert report.feasible and report.objective == res.optimum
 
 
+@pytest.mark.parametrize("seed", [9000, 9001, 9002])
+def test_oracle_skips_only_toggles_that_move_a_nonbasic_arc_away_from_entering(monkeypatch, seed):
+    # Between two re-solves, every cost change but the one that forced the
+    # second must be on a nonbasic arc and raise it at flow 0 or lower it at
+    # capacity; an inverted skip rule still finds every optimum here.
+    p = probio.generate_fctp(probio.FctpSpec(4, 4, total_supply=400, fc_count=12, seed=seed))
+    last = [p.cost.astype(np.float64)]
+    violations = []
+    reoptimize = oracle.reoptimize
+
+    def spy(state, costs):
+        c = np.asarray(costs, dtype=np.float64)
+        changed = np.flatnonzero(c != last[0])
+        raised = c[changed] > last[0][changed]
+        away = ~state.basic[changed] & ((state.flow[changed] == 0) == raised)
+        if np.count_nonzero(~away) > 1:
+            violations.append(changed[~away].tolist())
+        last[0] = c.copy()
+        return reoptimize(state, costs)
+
+    monkeypatch.setattr(oracle, "reoptimize", spy)
+    res = oracle.brute_force_opt(p, max_fc_arcs=14)
+    assert violations == []
+    assert res.subsets_explored == 2**12
+
+
 def test_oracle_witness_consistency():
     p = small_fc_instance(11)
     res = oracle.brute_force_opt(p)

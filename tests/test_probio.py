@@ -237,6 +237,14 @@ def test_netgen_deterministic_in_seed():
     assert probio.generate_netgen_fc(spec) == probio.generate_netgen_fc(spec)
 
 
+def test_generators_reject_a_negative_seed():
+    with pytest.raises(probio.InfeasibleSpec, match="seed -1"):
+        probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=40, seed=-1))
+    with pytest.raises(probio.InfeasibleSpec, match="seed -1"):
+        probio.generate_netgen_fc(probio.NetgenFcSpec(nodes=30, source_count=8, sink_count=9,
+                                                      arc_count=120, total_supply=900, seed=-1))
+
+
 def test_netgen_rejects_bad_specs():
     with pytest.raises(probio.InfeasibleSpec):
         probio.generate_netgen_fc(

@@ -1,6 +1,7 @@
 """Golden trajectories: exact search paths pinned on fixed instances.
 
-A refactor that keeps behaviour must reproduce every count and every move.
+A refactor that keeps behaviour must reproduce every count and every move,
+and the outer iteration and pass that found the best.
 The move-log digest uses the benchmark's serialization (each entry as a list
 of ints), so a drift seen here is the drift the benchmark would report.
 
@@ -23,20 +24,20 @@ from fixnet import gits, probio
 
 GOLDEN = [
     (probio.FctpSpec(4, 4, 400, fc_count=12, seed=9000), {},
-     (2154, 2079, 51, 2130, 3),
+     (2154, 2079, 51, 2130, 3, 0, 0),
      "eb260a6dc6737405e2dfc04543437aeba2e44e356dd1ac80324e6d34f33977fc"),
     (probio.FctpSpec(6, 6, 600, fc_count=12, seed=9006), {},
-     (2896, 2374, 51, 2113, 2),
+     (2896, 2374, 51, 2113, 2, 0, 0),
      "c0bfb9446c7f62666713b421005b86c7bf9e025e861a227d5ec4c399e90c133b"),
     (probio.FctpSpec(10, 10, 10000, fc_range=(400, 1600), seed=3), {},
-     (56136, 2703, 51, 2181, 1),
+     (56136, 2703, 51, 2181, 1, 0, 14),
      "51385b3880a10c18fdd3131b66b0234b10ca36651fe2504a4260091d8e180629"),
     (probio.NetgenFcSpec(120, 30, 30, 900, 5000, fc_range=(1600, 6400), seed=5),
      {"MaxOutsideIter": 8},
-     (233862, 1752, 9, 405, 0),
+     (233862, 1752, 9, 405, 0, 0, 1),
      "9ef57480176908daa46e7d2292184106d588f1d3dd7e2d89868f49b0881bdaf1"),
     (probio.FctpSpec(5, 5, 500, fc_count=12, seed=9004), {"DoTabu": False},
-     (2384, 298, 51, 161, 1),
+     (2384, 298, 51, 161, 1, 0, 0),
      "081eb620680b33efb55e4669800b03359db90bae22080d3c5925489720f35b84"),
 ]
 
@@ -53,6 +54,6 @@ def test_golden_trajectory(spec, overrides, counts, digest):
     eng = gits.GhostImageSearch(generate(spec), gits.Params(**overrides), collect_trace=True)
     res = eng.run()
     assert (res.best_value, res.total_pivots, res.outside_iters, res.inside_iters,
-            res.passes_used) == counts
+            res.passes_used, res.best_pass, res.gbest_iter) == counts
     log = json.dumps([[int(v) for v in entry] for entry in eng.move_log])
     assert hashlib.sha256(log.encode()).hexdigest() == digest
