@@ -202,7 +202,6 @@ def cmd_generate(args) -> int:
         print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = args.seed if args.seed is not None else 0
     jobs = []
     if args.suite == "testset1":
@@ -225,6 +224,7 @@ def cmd_generate(args) -> int:
         print("error: provide --suite or --fctp", file=sys.stderr)
         return 2
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, spec in jobs:
             if isinstance(spec, probio.FctpSpec):
                 problem = probio.generate_fctp(spec)
@@ -243,7 +243,7 @@ def cmd_generate(args) -> int:
             path = out_dir / f"{name}.fcnf"
             path.write_text(probio.write_fcnf(problem, comments=(header,)))
             print(path)
-    except probio.InfeasibleSpec as exc:
+    except (probio.InfeasibleSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -33,6 +33,12 @@ PRICE_TOL = 1e-7
 # most twice the depth per candidate; at this bound it was never slower than
 # lifting on trees of depth 11 to 127.
 WALK_LIMIT = 1024
+# A sweep walks every candidate, without narrowing them to those a pivot
+# touched, when their count times the tree depth is at most this. Every
+# small_exact sweep is (at most 225); on 8x12 and 10x10 FCTP searches, whose
+# sweeps are 567 to 1155, this bound and twice it ran equally, while at
+# WALK_LIMIT their sweeps took 1.35 to 2.1 times as long.
+FULL_WALK_LIMIT = WALK_LIMIT // 4
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -656,24 +662,33 @@ def evaluate_all_entering(state: SimplexState):
     Answers are kept on the state per arc with the version they belong to,
     a degenerate one with a witness: an arc of its cycle with no residual
     in the push direction. At that version they are returned as they are.
-    One pivot later only the candidates `_touched` names are answered again;
-    after any other version jump every candidate is. `_answer` answers
-    them, by a linear walk up each cycle when the sweep is small and by
-    binary lifting when it is large; both give the same exact integers.
-    The answers read neither `work` nor `pot_work` but exact potentials
-    derived from the instance costs, so `set_costs` leaves them valid. The
-    returned arrays are new on each call.
+    After a version change a sweep takes one of three routes, chosen by its
+    size, the candidate count times the tree depth. A sweep of at most
+    FULL_WALK_LIMIT walks every candidate's cycle (`_walk`) and builds no
+    table. A larger sweep one pivot past the kept answers narrows them to
+    those `_touched` names; after any other version jump every candidate is
+    answered. What is left then walks while its size is at most WALK_LIMIT
+    and is lifted (`_answer`) otherwise. Every route gives the same exact
+    integers and stores every answer it makes, so the kept answers stay
+    valid whichever route a later sweep takes. The answers read neither
+    `work` nor `pot_work` but the instance costs, so `set_costs` leaves
+    them valid. The returned arrays are new on each call.
     """
     cand = np.flatnonzero(~state.basic[: state.m])
     if state.sweep_version != state.version:
-        jump = _jump_tables(state)
-        redo = cand
+        depth = int(state.depth.max())
+        redo, jump = cand, None
         last = state.last_pivot
-        if last is not None and last[0] == state.version == state.sweep_version + 1:
+        if (cand.size * depth > FULL_WALK_LIMIT and last is not None
+                and last[0] == state.version == state.sweep_version + 1):
+            jump = _jump_tables(state)
             redo = _touched(state, jump, cand)
         if redo.size:
-            state.sweep_delta[redo], state.sweep_xoj[redo], state.sweep_witness[redo] = (
-                _answer(state, jump, redo))
+            if redo.size * depth <= WALK_LIMIT:
+                answers = _walk(state, redo)
+            else:
+                answers = _answer(state, jump or _jump_tables(state), redo)
+            state.sweep_delta[redo], state.sweep_xoj[redo], state.sweep_witness[redo] = answers
         state.sweep_version = state.version
     return cand, state.sweep_delta[cand], state.sweep_xoj[cand], np.ones(cand.size, dtype=bool)
 
@@ -769,30 +784,17 @@ def _apex(jump: list, depth: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def _answer(state: SimplexState, jump: list, cand: np.ndarray):
-    """(delta, objective delta, witness) of the given nonbasic arcs.
+    """(delta, objective delta, witness) of the given nonbasic arcs by
+    binary lifting, with the same cycle sides, values and witness as
+    `_walk`.
 
-    Each candidate's cycle climbs on side a from the node the flow leaves
-    (flow runs parent -> w on the arc pred[w] from node w to its parent)
-    and on side b from the node it re-enters (w -> parent) to their common
-    ancestor, the apex. The arc pred[w] has one set of values per side,
-    stored at w in that side's half of the flattened level-0 tables: the
-    residual in the push direction, the charge released when the arc
+    The arc pred[w] from node w to its parent has one set of values per
+    side, stored at w in that side's half of the flattened level-0 tables:
+    the residual in the push direction, the charge released when the arc
     decreases to that residual and the charge gained when it is increasing
-    and empty. The roots hold identity values. Over the entering arc's own
-    bound and both side paths, the combination takes the residual minimum
-    (the delta), the summed release charges of the arcs attaining it and
-    the gain sum.
-
-    Two combinations give the same exact integers. `_walk` climbs each
-    cycle arc by arc and costs O(path length) Python steps per candidate;
-    `_lift` answers all candidates at once by binary lifting and costs a
-    fixed O(log depth) numpy calls plus O(log depth) work per candidate.
-    A sweep whose candidate count times tree depth is at most WALK_LIMIT
-    walks, a larger one lifts.
-
-    The witness of a degenerate answer is the candidate itself when its
-    capacity is 0, else the pred arc of the first zero-residual node on
-    side a's path from its end, or failing that on side b's. The linear
+    and empty. The roots hold identity values. `_lift` combines them over
+    the entering arc's own bound and both side paths at a fixed O(log
+    depth) numpy calls plus O(log depth) work per candidate. The linear
     term reads exact potentials of the instance costs: root-path sums of
     the tree arcs' signed costs.
     """
@@ -806,11 +808,7 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
     capc, fj = state.cap[cand], fixed[cand]
     gain_j = lower * fj  # gained when pushed up from 0
     d0 = fj - gain_j  # the entering arc's own bound opens side a; released at 0
-    level0 = _level0(state, e, up)
-    if cand.size * int(state.depth.max()) <= WALK_LIMIT:
-        delta, drop, g, node = _walk(state, ends, capc, d0, level0)
-    else:
-        delta, drop, g, node = _lift(state, jump, ends, capc, d0, level0)
+    delta, drop, g, node = _lift(state, jump, ends, capc, d0, _level0(state, e, up))
 
     signed = np.where(up, basec[e], -basec[e])
     signed[-1] = 0
@@ -838,49 +836,65 @@ def _level0(state: SimplexState, e: np.ndarray, up: np.ndarray):
     return res, rel, gain
 
 
-def _walk(state: SimplexState, ends: np.ndarray, r0: np.ndarray, d0: np.ndarray, level0):
-    """(delta, released charges, gain sum, witness node) per candidate by
-    climbing its two ends with parent pointers, the deeper first, until
-    they meet at the apex, folding each pred arc's level-0 values on its
-    side into the one running (minimum, ties' release sum, gain sum) that
-    starts from the entering arc's (r0, d0). The fold is a commutative
-    monoid, so the interleaving of the sides does not matter; each side's
-    first zero residual from its end is the witness candidate. Python
-    lists throughout: no numpy call per step or per candidate."""
-    n1 = state.n + 1
-    parent, depth = state.parent.tolist(), state.depth.tolist()
-    res, rel, gain = (t.tolist() for t in level0)
+def _walk(state: SimplexState, cand: np.ndarray):
+    """(delta, objective delta, witness) of the given nonbasic arcs by
+    climbing each cycle arc by arc on Python lists.
+
+    A cycle climbs on side a from the node the flow leaves (flow runs
+    parent -> w on the arc pred[w] from node w to its parent) and on side b
+    from the node it re-enters (w -> parent), the deeper end first, to
+    their common ancestor, the apex. Per node and side, pred[w] gives its
+    residual in the push direction, the charge released when it decreases
+    to that residual, the charge gained when it increases from 0 and its
+    cost signed by the push. The climb folds them into the running residual
+    minimum (the delta), the summed release charges of the arcs attaining
+    it, the gain sum and the cycle's unit cost, all starting from the
+    entering arc's own; the fold is commutative, so the interleaving of the
+    sides does not matter. The witness of a degenerate answer is the
+    candidate itself when its capacity is 0, else the pred arc of the first
+    zero-residual node on side a's path from its end, or failing that on
+    side b's. A handful of numpy calls fetch the inputs, the rest is exact
+    Python integer arithmetic, and no table is built over the tree.
+    """
+    n = state.n
+    at = np.concatenate((state.pred_arc[:n], cand))  # each node's pred arc, then cand
+    parent, depth, pred = state.parent.tolist(), state.depth.tolist(), at.tolist()
+    cols = [a[at].tolist() for a in (state.flow, state.cap, state.fixed, state.base_cost,
+                                     state.tail, state.head)]
+    side = []  # per node: (values on side a, values on side b)
+    for w, f, c, x, b, t in zip(range(n), *cols[:5]):
+        dec, inc = (f, x, 0, -b), (c - f, 0, x if f == 0 else 0, b)
+        side.append((dec, inc) if t == w else (inc, dec))
     out = []
-    for a, b, r, d in zip(*ends.tolist(), r0.tolist(), d0.tolist()):
-        g = 0
+    for j, f, c, x, b, t, h in zip(*(col[n:] for col in [pred] + cols)):
+        if f == 0:  # pushed up from 0: gains its charge
+            u, v, r, d, g, unit = t, h, c, 0, x, b
+        else:  # pushed down from its capacity: releases its charge at 0
+            u, v, r, d, g, unit = h, t, c, x, 0, -b
         wa = wb = -1
-        da, db = depth[a], depth[b]
-        while a != b:
-            if da >= db:
-                x = res[a]
-                if x < r:
-                    r, d = x, rel[a]
-                elif x == r:
-                    d += rel[a]
-                g += gain[a]
-                if x == 0 and wa < 0:
-                    wa = a
-                a = parent[a]
-                da -= 1
+        du, dv = depth[u], depth[v]
+        while u != v:
+            if du >= dv:
+                res, rel, gain, cost = side[u][0]
+                if res == 0 and wa < 0:
+                    wa = pred[u]
+                u = parent[u]
+                du -= 1
             else:
-                y = b + n1
-                x = res[y]
-                if x < r:
-                    r, d = x, rel[y]
-                elif x == r:
-                    d += rel[y]
-                g += gain[y]
-                if x == 0 and wb < 0:
-                    wb = b
-                b = parent[b]
-                db -= 1
-        out.append((r, d, g, wa if wa >= 0 else wb))
-    return np.array(out, dtype=np.int64).reshape(-1, 4).T
+                res, rel, gain, cost = side[v][1]
+                if res == 0 and wb < 0:
+                    wb = pred[v]
+                v = parent[v]
+                dv -= 1
+            if res < r:
+                r, d = res, rel
+            elif res == r:
+                d += rel
+            g += gain
+            unit += cost
+        witness = j if c == 0 else wa if wa >= 0 else wb
+        out.append((r, unit * r + g - d if r else 0, witness))
+    return np.array(out, dtype=np.int64).reshape(-1, 3).T
 
 
 def _lift(state: SimplexState, jump: list, ends: np.ndarray, r0: np.ndarray,

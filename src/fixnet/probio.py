@@ -157,6 +157,8 @@ def _partition(rng: np.random.Generator, total: int, k: int,
         raise InfeasibleSpec(f"cannot split {total} into {k} positive parts")
     if upper is not None and total > k * upper:
         raise InfeasibleSpec(f"cannot split {total} into {k} parts of at most {upper}")
+    if total >= 2**63:
+        raise InfeasibleSpec(f"total supply {total} exceeds the int64 range")
     w = rng.integers(1, 1_000_000, size=k).astype(np.float64)
     parts = np.floor(total * w / w.sum()).astype(np.int64)
     np.maximum(parts, 1, out=parts)
@@ -245,6 +247,8 @@ def generate_netgen_fc(spec: NetgenFcSpec) -> NetworkProblem:
     _check_range("fixed-charge", spec.fc_range)
     _check_range("capacity", spec.cap_range)
     cap_lo, cap_hi = spec.cap_range
+    if spec.total_supply > spec.arc_count * cap_hi:  # the skeleton could not carry it
+        raise InfeasibleSpec(f"total supply {spec.total_supply} exceeds arc count times {cap_hi}")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
 
     sources = list(range(s))

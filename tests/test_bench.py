@@ -239,6 +239,23 @@ def test_generate_rejects_a_negative_seed_and_a_count_below_one(tmp_path, capsys
     assert not list(tmp_path.glob("*.fcnf"))
 
 
+@pytest.mark.parametrize("supply", [2**63, 3 * 10**21])
+def test_generate_rejects_a_supply_beyond_int64(tmp_path, capsys, supply):
+    rc = run_cli(["generate", "--fctp", "4x4", "--supply", str(supply),
+                  "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.fcnf"))
+
+
+def test_generate_into_a_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(["generate", "--fctp", "4x4", "--out-dir", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == ""
+
+
 # -- bench --------------------------------------------------------------------
 
 

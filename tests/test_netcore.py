@@ -324,23 +324,33 @@ def test_evaluate_matches_pivot_recompute_everywhere():
 # -- evaluate_all_entering --------------------------------------------------------
 
 
-# WALK_LIMIT values that force every sweep through one combination
-SWEEP_PATHS = {"walk": 2**62, "lift": -1}
+# (FULL_WALK_LIMIT, WALK_LIMIT) values that send every sweep by one route
+SWEEP_PATHS = {"full walk": (2**62, 2**62), "narrowed walk": (-1, 2**62),
+               "narrowed lift": (-1, -1)}
+NARROWED = ("narrowed walk", "narrowed lift")
 
 
 @contextlib.contextmanager
 def sweep_path(monkeypatch, path):
-    """Answer every sweep inside the block by one combination, "walk" or
-    "lift", and check on leaving that it ran and the other did not."""
+    """Send every sweep inside the block by one route. "full walk" walks
+    every candidate; the narrowed routes narrow a sweep one pivot past the
+    kept answers to those `_touched` names, then walk or lift the rest.
+    Yields the patch context, for spies that must be undone with it. On
+    leaving, check that the route's combination ran and the other did not,
+    and that a full walk never narrowed."""
     ran = collections.Counter()
+    full, walk = SWEEP_PATHS[path]
     with monkeypatch.context() as patch:
-        patch.setattr(nc, "WALK_LIMIT", SWEEP_PATHS[path])
-        for name in ("walk", "lift"):
-            combine = getattr(nc, "_" + name)
-            patch.setattr(nc, "_" + name, lambda *args, combine=combine, name=name: (
-                ran.update([name]) or combine(*args)))
-        yield
-    assert ran[path] > 0 and set(ran) == {path}, ran
+        patch.setattr(nc, "FULL_WALK_LIMIT", full)
+        patch.setattr(nc, "WALK_LIMIT", walk)
+        for name in ("_walk", "_answer", "_touched"):
+            fn = getattr(nc, name)
+            patch.setattr(nc, name, lambda *args, fn=fn, name=name: (
+                ran.update([name]) or fn(*args)))
+        yield patch
+    combination, other = ("_walk", "_answer") if walk > 0 else ("_answer", "_walk")
+    assert ran[combination] > 0 and not ran[other], ran
+    assert path in NARROWED or not ran["_touched"], ran
 
 
 def assert_sweep_matches_cycles(state, p):
@@ -888,22 +898,35 @@ def assert_sweep_is_fresh(state):
 
 
 def spy_answers(monkeypatch, state):
-    """Record the candidates each sweep of `state` (not of its copies) answers."""
+    """Record the candidates each sweep of `state` (not of its copies)
+    answers, by walk or by lifting."""
     answered = []
-    answer = nc._answer
-    monkeypatch.setattr(nc, "_answer", lambda st, jump, cand: (
-        st is state and answered.append(cand.tolist())) or answer(st, jump, cand))
+    for name in ("_walk", "_answer"):
+        fn = getattr(nc, name)
+        monkeypatch.setattr(nc, name, lambda st, *rest, fn=fn: (
+            st is state and answered.append(rest[-1].tolist())) or fn(st, *rest))
     return answered
+
+
+def spy_narrowing(monkeypatch, state):
+    """Record each sweep of `state` that `_touched` narrows."""
+    narrowed = []
+    touched = nc._touched
+    monkeypatch.setattr(nc, "_touched", lambda st, jump, cand: (
+        st is state and narrowed.append(cand.size)) or touched(st, jump, cand))
+    return narrowed
 
 
 @pytest.fixture
 def checked_sweeps(monkeypatch):
     """Sweep after every pivot, so that each sweep is one pivot past the kept
     answers, and check it with assert_sweep_is_fresh. Returns counts of the
-    pivot kinds seen. A kept degenerate answer whose witness is off the
-    pivot's cycle must not be answered again; "witness skip" counts those
-    whose new cycle meets the cycle of a pivot that changed flows, and
-    "witness on cycle" the answers whose witness is on it that were."""
+    pivot kinds seen. A sweep that does not narrow must answer every
+    candidate. In one that narrows, a kept degenerate answer whose witness
+    is off the pivot's cycle must not be answered again; "witness skip"
+    counts those whose new cycle meets the cycle of a pivot that changed
+    flows, and "witness on cycle" the answers whose witness is on it that
+    were."""
     seen = collections.Counter()
     apply = nc.SimplexState._apply
 
@@ -924,8 +947,13 @@ def checked_sweeps(monkeypatch):
         seen["one past"] += kept
         with monkeypatch.context() as patch:
             answered = spy_answers(patch, state)
+            narrowed = spy_narrowing(patch, state)
             assert_sweep_is_fresh(state)
         redo = set(sum(answered, []))
+        seen["narrowed"] += bool(narrowed)
+        if not narrowed:
+            assert redo == set(np.flatnonzero(~state.basic[: state.m]).tolist())
+            return
         on_cycle = {e for e, _ in cycle}
         for c, w in zip(degenerate.tolist(), witness.tolist()):
             if c in (j, k):
@@ -959,6 +987,8 @@ def test_kept_sweep_is_exact_through_cold_solves_and_warm_starts(monkeypatch, ch
         for kind in kinds + (("flip",) if make is fctp_instance else ()):
             assert checked_sweeps[kind] > 0, (path, kind)
         assert checked_sweeps["zero capacity entered"] == 0
+        narrowed = checked_sweeps["one past"] if path in NARROWED else 0
+        assert checked_sweeps["narrowed"] == narrowed, path
 
 
 def test_kept_sweep_is_exact_through_fc_pivots(monkeypatch, checked_sweeps):
@@ -973,9 +1003,13 @@ def test_kept_sweep_is_exact_through_fc_pivots(monkeypatch, checked_sweeps):
                 cand, delta, xoj, ok = nc.evaluate_all_entering(state)
                 pos = int(np.argmin(xoj)) if step % 3 else int(rng.integers(cand.size))
                 nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pos])))
-        for kind in ("a", "b", "degenerate", "witness skip", "witness on cycle"):
+        kinds = ("a", "b", "degenerate")
+        if path in NARROWED:
+            kinds += ("witness skip", "witness on cycle")
+        for kind in kinds:
             assert checked_sweeps[kind] > 0, (path, kind)
         assert checked_sweeps["one past"] == 60
+        assert checked_sweeps["narrowed"] == (60 if path in NARROWED else 0), path
 
 
 def test_kept_sweep_is_exact_on_deep_trees(monkeypatch, checked_sweeps):
@@ -989,59 +1023,84 @@ def test_kept_sweep_is_exact_on_deep_trees(monkeypatch, checked_sweeps):
 
 def test_second_sweep_without_a_pivot_answers_nothing_again(monkeypatch):
     p = fctp_instance()
-    state = nc.solve_lp(p, p.cost)
-    answered = []  # candidates answered per sweep of `state`, not of its copies
-    answer = nc._answer
-    monkeypatch.setattr(nc, "_answer", lambda st, anc, cand: (
-        st is state and answered.append(cand.size)) or answer(st, anc, cand))
-    first = nc.evaluate_all_entering(state)
-    assert answered == [first[0].size]
-    first[1][:] = -1  # the caller's arrays are its own
-    first[2][:] = -1
-    second = assert_sweep_matches_cycles(state, p)
-    assert answered == [first[0].size]
-    # unchanged costs: no relabel, no pivot, the kept answers stay
-    nc.reoptimize(state, p.cost)
-    assert_sweep_is_fresh(state)
-    assert answered == [first[0].size]
-    # one pivot later only the touched candidates are answered again
-    cand, delta, xoj, _ = second
-    nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
-    assert_sweep_is_fresh(state)
-    assert 0 < answered[1] < first[0].size
+    for path in NARROWED:
+        with sweep_path(monkeypatch, path) as patch:
+            state = nc.solve_lp(p, p.cost)
+            answered = spy_answers(patch, state)
+            first = nc.evaluate_all_entering(state)
+            assert [len(a) for a in answered] == [first[0].size]
+            first[1][:] = -1  # the caller's arrays are its own
+            first[2][:] = -1
+            second = assert_sweep_matches_cycles(state, p)
+            assert len(answered) == 1
+            # unchanged costs: no relabel, no pivot, the kept answers stay
+            nc.reoptimize(state, p.cost)
+            assert_sweep_is_fresh(state)
+            assert len(answered) == 1
+            # one pivot later only the touched candidates are answered again
+            cand, delta, xoj, _ = second
+            nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+            assert_sweep_is_fresh(state)
+            assert 0 < len(answered[1]) < first[0].size
+
+
+def test_full_walk_answers_every_candidate_and_keeps_them_for_a_narrowed_sweep(monkeypatch):
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost + 0.37)
+    with sweep_path(monkeypatch, "full walk"):
+        cand, _, xoj, _ = nc.evaluate_all_entering(state)
+        nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+        # one pivot past: a full walk must not read a kept answer, even one
+        # that a narrowed sweep would keep
+        cand = np.flatnonzero(~state.basic[: state.m])
+        state.sweep_delta[cand] = -1
+        state.sweep_xoj[cand] = -1
+        state.sweep_witness[cand] = -1
+        with monkeypatch.context() as patch:
+            answered = spy_answers(patch, state)
+            assert_sweep_is_fresh(state)
+        assert answered == [cand.tolist()]
+        cand, _, xoj, _ = nc.evaluate_all_entering(state)
+        nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+    # the next sweep narrows and reuses what the full walk kept
+    with sweep_path(monkeypatch, "narrowed lift") as patch:
+        answered = spy_answers(patch, state)
+        assert_sweep_is_fresh(state)
+    assert 0 < len(answered[0]) < np.count_nonzero(~state.basic[: state.m])
 
 
 def test_leaving_arc_is_answered_again_whatever_its_stale_answer(monkeypatch):
     p = fctp_instance()
-    state = nc.solve_lp(p, p.cost + 0.37)
-    cand, _, _, _ = nc.evaluate_all_entering(state)
-    ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
-              if ev.leaving != ev.entering and ev.leaving < state.m)
-    k = ev.leaving
-    on_cycle = {e for e, _ in ev._cycle}
-    # k is basic, so its kept entries are stale: make them a degenerate
-    # answer whose witness lies off the cycle, which would otherwise be kept
-    state.sweep_delta[k] = 0
-    state.sweep_witness[k] = next(e for e in range(state.m) if e not in on_cycle)
-    nc.pivot(state, ev)
-    answered = spy_answers(monkeypatch, state)
-    assert_sweep_is_fresh(state)
-    assert k in answered[0]
+    for path in NARROWED:
+        with sweep_path(monkeypatch, path) as patch:
+            state = nc.solve_lp(p, p.cost + 0.37)
+            cand, _, _, _ = nc.evaluate_all_entering(state)
+            ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
+                      if ev.leaving != ev.entering and ev.leaving < state.m)
+            k = ev.leaving
+            on_cycle = {e for e, _ in ev._cycle}
+            # k is basic, so its kept entries are stale: make them a degenerate
+            # answer whose witness lies off the cycle, which would otherwise be kept
+            state.sweep_delta[k] = 0
+            state.sweep_witness[k] = next(e for e in range(state.m) if e not in on_cycle)
+            nc.pivot(state, ev)
+            answered = spy_answers(patch, state)
+            assert_sweep_is_fresh(state)
+            assert k in answered[0]
 
 
 def test_sweep_after_reoptimize_answers_every_candidate(monkeypatch):
     p = netgen_instance()
-    state = nc.solve_lp(p, p.cost)
-    nc.evaluate_all_entering(state)
-    before = state.version
-    nc.reoptimize(state, p.cost + p.fixed / 3.0)
-    assert state.version > before + 1
-    answered = []
-    answer = nc._answer
-    monkeypatch.setattr(nc, "_answer", lambda st, anc, cand: (
-        st is state and answered.append(cand.size)) or answer(st, anc, cand))
-    assert_sweep_is_fresh(state)
-    assert answered[0] == np.count_nonzero(~state.basic[: state.m])
+    for path in SWEEP_PATHS:
+        with sweep_path(monkeypatch, path) as patch:
+            state = nc.solve_lp(p, p.cost)
+            nc.evaluate_all_entering(state)
+            before = state.version
+            nc.reoptimize(state, p.cost + p.fixed / 3.0)
+            assert state.version > before + 1
+            answered = spy_answers(patch, state)
+            assert_sweep_is_fresh(state)
+            assert len(answered[0]) == np.count_nonzero(~state.basic[: state.m])
 
 
 def test_copy_pivoted_differently_keeps_its_own_sweep():
@@ -1099,22 +1158,24 @@ def test_capping_the_root_arcs_drops_the_kept_sweep(monkeypatch):
     p = nc.make_problem([2, -2, 0, 0], [
         (3, 0, 3, 5, 9), (2, 0, 7, 5, 9), (0, 1, 4, 5, 9), (0, 2, 3, 5, 9),
     ])
-    state = nc.SimplexState(p, p.cost)
-    with pytest.raises(nc.SimplexStalled):
-        state.close_artificial_arcs()
-    state.optimize()
-    assert not state.has_artificial_flow()
-    assert_sweep_is_fresh(state)
-    cand = nc.evaluate_all_entering(state)[0]
-    stale = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
-    answered = spy_answers(monkeypatch, state)
-    state.close_artificial_arcs()
-    assert_sweep_is_fresh(state)
-    assert answered == [cand.tolist()]
-    new = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
-    assert any(a.leaving != b.leaving and b.leaving >= state.m for a, b in zip(stale, new))
-    with pytest.raises(nc.StalePivotEval):
-        nc.pivot(state, stale[0])
+    for path in NARROWED:
+        with sweep_path(monkeypatch, path) as patch:
+            state = nc.SimplexState(p, p.cost)
+            with pytest.raises(nc.SimplexStalled):
+                state.close_artificial_arcs()
+            state.optimize()
+            assert not state.has_artificial_flow()
+            assert_sweep_is_fresh(state)
+            cand = nc.evaluate_all_entering(state)[0]
+            stale = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
+            answered = spy_answers(patch, state)
+            state.close_artificial_arcs()
+            assert_sweep_is_fresh(state)
+            assert answered == [cand.tolist()]
+            new = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
+            assert any(a.leaving != b.leaving and b.leaving >= state.m for a, b in zip(stale, new))
+            with pytest.raises(nc.StalePivotEval):
+                nc.pivot(state, stale[0])
 
 
 # -- bounds read from flows ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,30 @@ def test_generators_reject_a_negative_seed():
     with pytest.raises(probio.InfeasibleSpec, match="seed -1"):
         probio.generate_netgen_fc(probio.NetgenFcSpec(nodes=30, source_count=8, sink_count=9,
                                                       arc_count=120, total_supply=900, seed=-1))
+
+
+@pytest.mark.parametrize("total", [2**63, 3 * 10**21, 2**70])
+def test_generators_reject_a_supply_beyond_int64(total):
+    with pytest.raises(probio.InfeasibleSpec, match="int64"):
+        probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=total))
+    with pytest.raises(probio.InfeasibleSpec):
+        probio.generate_netgen_fc(probio.NetgenFcSpec(
+            nodes=30, source_count=8, sink_count=9, arc_count=120, total_supply=total))
+
+
+def test_fctp_generates_at_the_largest_int64_supply():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the partition's float rounding
+        p = probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=2**63 - 1))
+    assert sum(p.supply[p.supply > 0].tolist()) == 2**63 - 1
+
+
+def test_netgen_rejects_a_supply_its_skeleton_cannot_carry():
+    # at most arc_count * cap_hi leaves the sources; a supply beyond it once
+    # built a skeleton chunk by chunk for as long as the supply lasted
+    with pytest.raises(probio.InfeasibleSpec, match="exceeds arc count"):
+        probio.generate_netgen_fc(probio.NetgenFcSpec(
+            nodes=30, source_count=8, sink_count=9, arc_count=120, total_supply=2**63 - 1))
 
 
 def test_netgen_rejects_bad_specs():

@@ -1,6 +1,6 @@
 """Differential checks of the fixed-charge sweep's two combinations: the
-linear walk and binary lifting must give equal answers on the same
-(state, jump tables, candidates), and both must equal evaluate_fc_entering."""
+linear walk and binary lifting must give equal answers on the same state and
+candidates, and both must equal evaluate_fc_entering."""
 
 import numpy as np
 import pytest
@@ -15,26 +15,26 @@ except ImportError:  # the property test below skips without it
     hypothesis = None
 
 
-def answer_by(limit, state, jump, cand, answer=nc._answer):
-    """_answer with WALK_LIMIT set to `limit` for the one call."""
-    saved = nc.WALK_LIMIT
-    nc.WALK_LIMIT = limit
-    try:
-        return answer(state, jump, cand)
-    finally:
-        nc.WALK_LIMIT = saved
-
-
-def assert_paths_agree(state, jump, cand, answer=nc._answer):
-    """Walk and lift on the same input: equal deltas and objective deltas,
-    and equal witnesses on degenerate answers. Returns the walk's answer."""
-    walk = answer_by(2**62, state, jump, cand, answer)
-    lift = answer_by(-1, state, jump, cand, answer)
-    assert np.array_equal(walk[0], lift[0])
-    assert np.array_equal(walk[1], lift[1])
-    degenerate = walk[0] == 0
-    assert np.array_equal(walk[2][degenerate], lift[2][degenerate])
-    return walk
+def assert_paths_agree(state, cand, walk=nc._walk, answer=nc._answer):
+    """Walk and lift on the same candidates: equal deltas and objective
+    deltas, and equal witnesses on degenerate answers. Both must equal
+    evaluate_fc_entering, and each degenerate witness must block its
+    candidate's cycle at 0. Returns the walk's answer."""
+    walked = walk(state, cand)
+    lifted = answer(state, nc._jump_tables(state), cand)
+    assert np.array_equal(walked[0], lifted[0])
+    assert np.array_equal(walked[1], lifted[1])
+    degenerate = walked[0] == 0
+    assert np.array_equal(walked[2][degenerate], lifted[2][degenerate])
+    delta, xoj, witness = walked
+    for pos, j in enumerate(cand.tolist()):
+        ev = nc.evaluate_fc_entering(state, state.problem, j)
+        assert (delta[pos], xoj[pos]) == (ev.delta, ev.objective_delta)
+        if ev.delta == 0:
+            blocked = {e for e, s in ev._cycle
+                       if (state.flow[e] if s < 0 else state.cap[e] - state.flow[e]) == 0}
+            assert witness[pos] in blocked
+    return walked
 
 
 SEARCH_INSTANCES = {
@@ -53,13 +53,14 @@ def test_walk_and_lift_agree_on_every_search_sweep(monkeypatch, name):
     spec = SEARCH_INSTANCES[name]
     make = probio.generate_fctp if isinstance(spec, probio.FctpSpec) else probio.generate_netgen_fc
     p = make(spec)
-    answer = nc._answer
+    walk, answer = nc._walk, nc._answer
     sweeps = []
 
-    def both(state, jump, cand):
-        sweeps.append(cand.size)
-        return assert_paths_agree(state, jump, cand, answer)
+    def both(state, *rest):
+        sweeps.append(rest[-1].size)
+        return assert_paths_agree(state, rest[-1], walk, answer)
 
+    monkeypatch.setattr(nc, "_walk", both)
     monkeypatch.setattr(nc, "_answer", both)
     res = gits.run(p, gits.Params())
     assert res.best_value == nc.fc_objective(p, res.best_flows)
@@ -92,14 +93,7 @@ def test_walk_lift_and_cycles_agree_on_random_networks():
             cand = np.flatnonzero(~state.basic[: state.m])
             if not cand.size:
                 break
-            delta, xoj, witness = assert_paths_agree(state, nc._jump_tables(state), cand)
-            for pos, j in enumerate(cand.tolist()):
-                ev = nc.evaluate_fc_entering(state, p, j)
-                assert (delta[pos], xoj[pos]) == (ev.delta, ev.objective_delta)
-                if ev.delta == 0:
-                    blocked = {e for e, s in ev._cycle
-                               if (state.flow[e] if s < 0 else state.cap[e] - state.flow[e]) == 0}
-                    assert witness[pos] in blocked
+            assert_paths_agree(state, cand)
             nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pick % cand.size])))
         state.assert_valid_basis()
 
