@@ -21,6 +21,7 @@ from .netcore import (
     InfeasibleFlows,
     NegativeCapacityOrCharge,
     NetworkProblem,
+    OutOfExactRange,
     PivotEval,
     SimplexState,
     StalePivotEval,

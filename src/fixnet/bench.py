@@ -16,12 +16,11 @@ import csv
 import io
 import os
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
 from . import gits, oracle, probio
-from .netcore import FixnetError, Infeasible, NetworkProblem
+from .netcore import FixnetError, Infeasible, NetworkProblem, OutOfExactRange
 
 CSV_COLUMNS = [
     "instance",
@@ -121,9 +120,7 @@ def _write_solution(path, problem: NetworkProblem, flows, value) -> None:
 
 
 def _solve_record(name: str, problem: NetworkProblem, params: gits.Params):
-    t0 = time.perf_counter()
     result = gits.run(problem, params)
-    elapsed = round(time.perf_counter() - t0, 3)
     lo, hi = _fc_span(problem)
     rec = {
         "instance": name,
@@ -132,7 +129,7 @@ def _solve_record(name: str, problem: NetworkProblem, params: gits.Params):
         "fc_lo": lo,
         "fc_hi": hi,
         "best_z": result.best_value,
-        "time_sec": elapsed,
+        "time_sec": round(result.elapsed, 3),
         "oracle_z": "",
         "z_ratio": "",
         "passes": result.passes_used,
@@ -214,7 +211,8 @@ def cmd_generate(args) -> int:
         except ValueError:
             print(f"error: --fctp expects MxN, got {args.fctp!r}", file=sys.stderr)
             return 2
-        total = args.supply or TS1_SUPPLY.get((m, n)) or 100 * max(m, n)
+        total = (args.supply if args.supply is not None
+                 else TS1_SUPPLY.get((m, n)) or 100 * max(m, n))
         fc_range = FC_TYPES[args.type]
         for idx in range(args.count):
             spec = probio.FctpSpec(sources=m, sinks=n, total_supply=total,
@@ -243,7 +241,7 @@ def cmd_generate(args) -> int:
             path = out_dir / f"{name}.fcnf"
             path.write_text(probio.write_fcnf(problem, comments=(header,)))
             print(path)
-    except (probio.InfeasibleSpec, OSError) as exc:
+    except (probio.InfeasibleSpec, OutOfExactRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -10,6 +10,7 @@ patterns trigger frequency-based diversification.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -50,28 +51,20 @@ class Params:
     TimeLimit: Optional[float] = None
 
     def __post_init__(self):
+        for name, (kind, nullable) in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if value is None and nullable:
+                continue
+            # a bool is only a bool; an int field takes numpy integers too
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, _ABSTRACT[kind]):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+            least = 0 if name == "MaxOutsideIter" else 1
+            if kind is int and value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
         if self.DescentTenure is None:
             self.DescentTenure = self.TabuTenure
         if self.AscentTenure is None:
             self.AscentTenure = self.TabuTenure
-        for name in (
-            "MaxIter",
-            "MaxPass",
-            "MaxInsideImprove",
-            "BadLuck",
-            "OutOfLuck",
-            "MaxSol",
-            "TabuTenure",
-            "DescentTenure",
-            "AscentTenure",
-            "LimMatch",
-            "sLim",
-            "ZeroRefresh",
-        ):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.MaxOutsideIter is not None and int(self.MaxOutsideIter) < 0:
-            raise ValueError("MaxOutsideIter must be a non-negative integer")
         if abs(self.Alpha1 + self.Alpha2 + self.Alpha3 - 1.0) > 1e-9:
             raise ValueError("Alpha1 + Alpha2 + Alpha3 must equal 1")
         if not 0.0 <= self.Beta <= 1.0:
@@ -83,27 +76,29 @@ class Params:
             raise ValueError("TimeLimit must be a non-negative finite number of seconds")
 
 
+# The Params schema, read once from the annotations: per field, its kind and
+# whether None is allowed. Every check and every KEY=VALUE parse reads it.
+_ANNOTATIONS = {"int": (int, False), "float": (float, False), "bool": (bool, False),
+                "Optional[int]": (int, True), "Optional[float]": (float, True)}
+_FIELD_KINDS = {f.name: _ANNOTATIONS[f.type] for f in fields(Params)}
+_ABSTRACT = {int: numbers.Integral, float: numbers.Real, bool: bool}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _cast_field(f, raw: str):
+def _cast_field(name: str, raw: str):
+    kind, nullable = _FIELD_KINDS[name]
     raw = raw.strip()
-    kind = f.type
-    if "bool" in kind:
+    if nullable and raw.lower() in ("", "none"):
+        return None
+    if kind is bool:
         low = raw.lower()
         if low in _BOOL_TRUE:
             return True
         if low in _BOOL_FALSE:
             return False
-        raise ValueError(f"{f.name}: expected a boolean, got {raw!r}")
-    if "Optional" in kind:
-        if raw.lower() in ("", "none"):
-            return None
-        return float(raw) if "float" in kind else int(raw)
-    if "float" in kind:
-        return float(raw)
-    return int(raw)
+        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+    return kind(raw)
 
 
 def params_to_config(params: Params) -> str:
@@ -134,16 +129,15 @@ def params_from_config(text: str, base: Optional[Params] = None) -> Params:
 
 def apply_overrides(params: Params, pairs) -> Params:
     """Apply KEY=VALUE strings; keys are Params field names."""
-    by_name = {f.name: f for f in fields(params)}
     updates = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"expected KEY=VALUE, got {pair!r}")
         key, val = pair.split("=", 1)
         key = key.strip()
-        if key not in by_name:
+        if key not in _FIELD_KINDS:
             raise ValueError(f"unknown parameter {key!r}")
-        updates[key] = _cast_field(by_name[key], val)
+        updates[key] = _cast_field(key, val)
     return replace(params, **updates)
 
 
@@ -195,7 +189,6 @@ class SearchMemory:
             ring=np.zeros((params.sLim, arc_count), dtype=bool),
             sum_zero=np.zeros(arc_count, dtype=np.int64),
             zero_now=np.zeros(arc_count, dtype=bool),
-            tenure=params.TabuTenure,
         )
 
 
@@ -381,7 +374,7 @@ class GhostImageSearch:
             if sel.size:
                 pos = sel[int(np.argmin(xoj[sel]))]
                 jstar = int(cand[pos])
-                ev = netcore.evaluate_fc_entering(state, self.problem, jstar)
+                ev = netcore.evaluate_fc_entering(state, jstar)
                 if ev.objective_delta != xoj[pos]:
                     raise netcore.SimplexStalled(
                         f"arc {jstar}: sweep delta {xoj[pos]} != pivot delta {ev.objective_delta}")
@@ -533,7 +526,6 @@ class GhostImageSearch:
         )
 
 
-def run(problem: netcore.NetworkProblem, params: Optional[Params] = None,
-        collect_trace: bool = False) -> RunResult:
+def run(problem: netcore.NetworkProblem, params: Optional[Params] = None) -> RunResult:
     """Solve a fixed-charge instance heuristically; deterministic per input."""
-    return GhostImageSearch(problem, params, collect_trace=collect_trace).run()
+    return GhostImageSearch(problem, params).run()

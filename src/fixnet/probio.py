@@ -123,7 +123,6 @@ class FctpSpec:
     total_supply: int
     cost_range: Tuple[int, int] = (3, 8)
     fc_range: Tuple[int, int] = (50, 200)
-    cap_range: Optional[Tuple[int, int]] = None
     fc_count: Optional[int] = None  # arcs carrying a charge; None = all
     seed: int = 0
 
@@ -190,8 +189,8 @@ def _partition(rng: np.random.Generator, total: int, k: int,
 def generate_fctp(spec: FctpSpec) -> NetworkProblem:
     """Complete bipartite m x n instance; deterministic in spec.seed.
 
-    Default arc capacity is min(supply_i, demand_k), the tightest bound that
-    never cuts off a transportation routing; cap_range overrides it.
+    Arc capacity is min(supply_i, demand_k), the tightest bound that never
+    cuts off a transportation routing.
     """
     m, n = spec.sources, spec.sinks
     if m < 1 or n < 1:
@@ -215,11 +214,7 @@ def generate_fctp(spec: FctpSpec) -> NetworkProblem:
         mask = np.zeros(count, dtype=bool)
         mask[charged] = True
         fixed = np.where(mask, fixed, 0)
-    if spec.cap_range is not None:
-        _check_range("capacity", spec.cap_range)
-        caps = rng.integers(spec.cap_range[0], spec.cap_range[1] + 1, size=count)
-    else:
-        caps = np.minimum.outer(sup, dem).reshape(-1)
+    caps = np.minimum.outer(sup, dem).reshape(-1)
     # Arc i * n + k runs from source i to sink k.
     tail = np.repeat(np.arange(m), n)
     head = m + np.tile(np.arange(n), m)

@@ -151,7 +151,7 @@ def test_criterion_4_pivot_delta_exactness():
             cand, delta, xoj, ok = nc.evaluate_all_entering(state)
             admissible = []
             for pos, j in enumerate(cand):
-                ev = nc.evaluate_fc_entering(state, problem, int(j))
+                ev = nc.evaluate_fc_entering(state, int(j))
                 assert ev.delta == delta[pos]
                 if not ok[pos]:
                     continue

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,44 @@ def test_artificial_flow_exit_codes(tmp_path, capsys, cmd, text, codes, value):
         assert f"optimum={value} " in out
 
 
+# Two arcs from node 1 to node 2 of capacity 10: B = sum |c_j| U_j + sum F_j
+# reaches 2^62 through a cost of 2^62 (FOUND), and stays one below it when the
+# costly arc's charge is 3 (UNDER, whose supply of 20 fills both arcs).
+FOUND = "p fcnf 2 2\nn 1 10\nn 2 -10\na 1 2 0 10 1 0\na 1 2 0 10 4611686018427387904 0\n"
+UNDER = "p fcnf 2 2\nn 1 20\nn 2 -20\na 1 2 0 10 1 0\na 1 2 0 10 461168601842738789 3\n"
+
+
+@pytest.mark.parametrize("cmd", ["solve", "oracle"])
+def test_an_objective_bound_of_2_62_exits_2(tmp_path, capsys, cmd):
+    path = tmp_path / "found.fcnf"
+    path.write_text(FOUND)
+    assert run_cli([cmd, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not Path(str(path) + ".sol").exists()
+
+
+def test_bench_reports_an_objective_bound_of_2_62_as_error_row(tmp_path, capsys):
+    make_small_suite(tmp_path, count=1)
+    (tmp_path / "found.fcnf").write_text(FOUND)
+    out = tmp_path / "res.csv"
+    assert run_cli(["bench", str(tmp_path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("error: found: ")
+    rows = read_csv(out.read_text())
+    assert [r[0] for r in rows[1:]] == ["found", "i0", "average"]
+    assert rows[1][bench.CSV_COLUMNS.index("best_z")] == ""
+
+
+def test_solve_just_under_the_objective_bound(tmp_path):
+    path = tmp_path / "under.fcnf"
+    path.write_text(UNDER)
+    assert run_cli(["solve", str(path), "--output", str(tmp_path / "rec.csv")]) == 0
+    lines = Path(str(path) + ".sol").read_text().splitlines()
+    assert lines[0] == f"s {2**62 - 1}"
+    flows = [int(line.split()[3]) for line in lines[1:]]
+    rep = oracle.check_solution(probio.parse_fcnf(UNDER), flows)
+    assert rep.feasible and rep.objective == 2**62 - 1
+
+
 def test_bench_reports_bigm_too_small_as_error_row(tmp_path, capsys):
     # the solve succeeds; only the oracle refuses the instance
     make_small_suite(tmp_path, count=1)
@@ -248,6 +287,19 @@ def test_generate_rejects_a_supply_beyond_int64(tmp_path, capsys, supply):
     assert not list(tmp_path.glob("*.fcnf"))
 
 
+@pytest.mark.parametrize("flags", [["--supply", "0"], ["--supply", "-5"],
+                                   ["--supply", str(2**63 - 1)], ["--fctp", "4by4"],
+                                   ["--fctp", "4x4x4"]],
+                         ids=["supply0", "supply-5", "supply-objective-bound", "4by4", "4x4x4"])
+def test_generate_rejects_a_supply_or_shape_it_cannot_meet(tmp_path, capsys, flags):
+    argv = ["generate", "--fctp", "4x4", "--out-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the partition's float rounding
+        assert run_cli(argv + flags) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.fcnf"))
+
+
 def test_generate_into_a_path_that_is_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -334,6 +386,20 @@ def test_oracle_subcommand(two_node_file, capsys):
     out = capsys.readouterr().out
     assert "optimum=115" in out
     assert "proven=true" in out
+
+
+def test_oracle_writes_a_solution_that_checks(tmp_path, capsys):
+    make_small_suite(tmp_path, count=1)
+    problem = probio.parse_fcnf((tmp_path / "i0.fcnf").read_text())
+    sol = tmp_path / "i0.sol"
+    assert run_cli(["oracle", str(tmp_path / "i0.fcnf"), "--solution", str(sol)]) == 0
+    optimum = oracle.brute_force_opt(problem).optimum
+    assert f"optimum={optimum} " in capsys.readouterr().out
+    lines = sol.read_text().splitlines()
+    assert lines[0] == f"s {optimum}"
+    flows = [int(line.split()[3]) for line in lines[1:]]
+    rep = oracle.check_solution(problem, flows)
+    assert rep.feasible and rep.objective == optimum
 
 
 def test_oracle_subcommand_too_large(tmp_path, capsys):

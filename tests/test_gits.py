@@ -66,6 +66,21 @@ def test_params_reject_non_finite_or_out_of_range_floats(field, value):
         gits.apply_overrides(gits.Params(), [f"{field}={value}"])
 
 
+@pytest.mark.parametrize("field,value", [
+    ("DoTabu", "no"), ("DoTabu", 1), ("sLim", 2.5), ("TabuTenure", "5"), ("Beta", "0.4"),
+    ("MaxIter", True), ("MaxIter", 2.5), ("MaxOutsideIter", 1.0), ("TimeLimit", "1"),
+])
+def test_params_reject_a_value_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        gits.Params(**{field: value})
+
+
+def test_params_take_numpy_numbers_and_ints_for_floats():
+    p = gits.Params(MaxIter=np.int64(3), sLim=np.int32(4), Beta=np.float64(0.5), TimeLimit=5)
+    assert (p.MaxIter, p.sLim, p.Beta, p.TimeLimit) == (3, 4, 0.5, 5)
+    assert gits.Params(MaxOutsideIter=0).MaxOutsideIter == 0
+
+
 def test_params_config_round_trip():
     p = gits.Params(MaxPass=3, Beta=0.25, DoTabu=False)
     text = gits.params_to_config(p)

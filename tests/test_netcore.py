@@ -72,6 +72,44 @@ def test_validate_rejects_total_supply_beyond_int64():
         nc.validate(p)
 
 
+def objective_bound_problem(supply, fixed):
+    """A cheap arc (cost 1) and a costly one, each of capacity 10, from node 0
+    to node 1: B = sum |c_j| U_j + sum F_j is 2^62 - 1 at fixed 3 and 2^62
+    at fixed 4. A supply of 20 fills both, so the optimum is B."""
+    cost = (2**62 - 11) // 10
+    return nc.make_problem([supply, -supply], [(0, 1, 1, 0, 10), (0, 1, cost, fixed, 10)])
+
+
+@pytest.mark.parametrize("problem", [
+    nc.make_problem([10, -10], [(0, 1, 1, 0, 10), (0, 1, 2**62, 0, 10)]),
+    objective_bound_problem(10, 4),
+], ids=["cost-2^62", "bound-2^62"])
+def test_an_objective_bound_of_2_62_is_refused(problem):
+    assert issubclass(nc.OutOfExactRange, nc.FixnetError)
+    assert issubclass(nc.OutOfExactRange, ValueError)
+    for solve in (nc.validate, lambda p: nc.solve_lp(p, p.cost), gits.run):
+        with pytest.raises(nc.OutOfExactRange, match=r"reaches 2\^62"):
+            solve(problem)
+
+
+@pytest.mark.parametrize("path", ["full walk", "narrowed lift"])
+def test_an_objective_bound_just_under_2_62_sweeps_exactly(monkeypatch, path):
+    p = objective_bound_problem(10, 3)
+    state = nc.solve_lp(p, p.cost)
+    with sweep_path(monkeypatch, path):
+        cand, delta, xoj, _ = assert_sweep_matches_cycles(state, p)
+    # moving all 10 units onto the costly arc: 10 (cost - 1) + 3
+    assert cand.tolist() == [1] and delta[0] == 10 and xoj[0] == 2**62 - 21
+
+
+@pytest.mark.parametrize("supply,best", [(10, 10), (20, 2**62 - 1)])
+def test_an_objective_bound_just_under_2_62_solves(supply, best):
+    p = objective_bound_problem(supply, 3)
+    res = gits.run(p)
+    report = oracle.check_solution(p, res.best_flows)
+    assert report.feasible and report.objective == res.best_value == best
+
+
 @pytest.mark.parametrize("supply,row,error", [
     ([5, -5], (0, 1, 10**20, 0, 10), nc.NegativeCapacityOrCharge),
     ([5, -5], (0, 1, 3.5, 0, 10), nc.NegativeCapacityOrCharge),
@@ -275,7 +313,7 @@ def test_evaluate_cost_neutral_parallel_swap():
     p = parallel_arcs_problem(0, 0)
     state = nc.solve_lp(p, [1.0, 1.0])
     assert state.basic[0] and state.real_flows()[0] == 5
-    ev = nc.evaluate_fc_entering(state, p, 1)
+    ev = nc.evaluate_fc_entering(state, 1)
     assert ev.delta == 5
     assert ev.objective_delta == 0
 
@@ -284,7 +322,7 @@ def test_evaluate_charge_swap_is_exact():
     # diverting 5 units: 5*1 - 5*1 + 50 - 80 = -30
     p = parallel_arcs_problem(80, 50)
     state = nc.solve_lp(p, [1.0, 1.0])
-    ev = nc.evaluate_fc_entering(state, p, 1)
+    ev = nc.evaluate_fc_entering(state, 1)
     assert ev.delta == 5
     assert ev.objective_delta == -30
 
@@ -293,7 +331,28 @@ def test_evaluate_requires_nonbasic_arc():
     p = parallel_arcs_problem(0, 0)
     state = nc.solve_lp(p, [1.0, 1.0])
     with pytest.raises(ValueError):
-        nc.evaluate_fc_entering(state, p, 0)
+        nc.evaluate_fc_entering(state, 0)
+
+
+@pytest.mark.parametrize("j", [-1, 2])
+def test_evaluate_rejects_an_arc_index_out_of_range(j):
+    p = parallel_arcs_problem(0, 0)
+    state = nc.solve_lp(p, [1.0, 1.0])
+    with pytest.raises(ValueError, match="out of range"):
+        nc.evaluate_fc_entering(state, j)
+
+
+@pytest.mark.parametrize("costs,match", [
+    ([1.0], "shape"), ([1.0, 1.0, 1.0], "shape"),
+    ([1.0, float("nan")], "finite"), ([float("inf"), 1.0], "finite"),
+], ids=["short", "long", "nan", "inf"])
+def test_set_costs_rejects_a_wrong_shape_or_a_non_finite_cost(costs, match):
+    p = parallel_arcs_problem(0, 0)
+    state = nc.solve_lp(p, [1.0, 1.0])
+    before = state.work.copy()
+    with pytest.raises(ValueError, match=match):
+        state.set_costs(costs)
+    assert np.array_equal(state.work, before)
 
 
 def test_evaluate_matches_pivot_recompute_everywhere():
@@ -309,7 +368,7 @@ def test_evaluate_matches_pivot_recompute_everywhere():
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
         assert ok.all()
         for pos, j in enumerate(cand):
-            ev = nc.evaluate_fc_entering(state, p, int(j))
+            ev = nc.evaluate_fc_entering(state, int(j))
             assert ev.delta == delta[pos]
             assert ev.objective_delta == xoj[pos]
             clone = state.copy()
@@ -361,7 +420,7 @@ def assert_sweep_matches_cycles(state, p):
     assert np.array_equal(cand, np.flatnonzero(~state.basic[: state.m]))
     assert ok.all()
     for pos, j in enumerate(cand.tolist()):
-        ev = nc.evaluate_fc_entering(state, p, j)
+        ev = nc.evaluate_fc_entering(state, j)
         assert delta[pos] == ev.delta
         assert xoj[pos] == ev.objective_delta
     return cand, delta, xoj, ok
@@ -417,7 +476,7 @@ def check_sweeps_on_rail_ladder(depth):
         if not moves.size:
             break
         j = int(cand[moves[np.argmin(xoj[moves])]])
-        nc.pivot(state, nc.evaluate_fc_entering(state, p, j))
+        nc.pivot(state, nc.evaluate_fc_entering(state, j))
         pivots += 1
         assert_sweep_matches_cycles(state, p)
     assert pivots == 5 or depth < 4
@@ -428,7 +487,7 @@ def check_sweeps_on_rail_ladder(depth):
         j = cold._price()
         if not 0 <= j < cold.m:
             break
-        nc.pivot(cold, nc.evaluate_fc_entering(cold, p, j))
+        nc.pivot(cold, nc.evaluate_fc_entering(cold, j))
         assert_sweep_matches_cycles(cold, p)
 
 
@@ -505,7 +564,7 @@ def test_ratio_test_takes_the_last_blocking_arc_in_push_order(feeder_cap, shortc
     delta, k, cycle = state._cycle(7)
     assert cycle == [(2, -1), (1, -1), (0, -1), (7, 1), (5, -1), (4, -1), (3, -1)]
     assert (delta, k) == (min(feeder_cap, shortcut_cap), leaving)
-    nc.pivot(state, nc.evaluate_fc_entering(state, p, 7))
+    nc.pivot(state, nc.evaluate_fc_entering(state, 7))
     assert not state.basic[leaving]
     assert state.flow[leaving] == (shortcut_cap if leaving == 7 else 0)
     state.assert_valid_basis()
@@ -521,7 +580,7 @@ def test_pivot_bound_flip_keeps_tree():
     state = nc.solve_lp(p, [1.0, 3.0])
     assert not state.basic[1] and state.flow[1] == 0
     tree_before = [list(adj) for adj in state.tree_adj]
-    ev = nc.evaluate_fc_entering(state, p, 1)
+    ev = nc.evaluate_fc_entering(state, 1)
     assert ev.leaving == ev.entering == 1
     nc.pivot(state, ev)
     assert not state.basic[1] and state.flow[1] == 4
@@ -541,7 +600,7 @@ def test_pivot_degenerate_changes_tree_not_flows():
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
         for pos, j in enumerate(cand):
             if delta[pos] == 0 and ok[pos]:
-                ev = nc.evaluate_fc_entering(state, p, int(j))
+                ev = nc.evaluate_fc_entering(state, int(j))
                 if ev.leaving == ev.entering:
                     continue
                 flows = state.flow.copy()
@@ -559,7 +618,7 @@ def test_pivot_degenerate_changes_tree_not_flows():
 def test_pivot_rejects_stale_eval():
     p = parallel_arcs_problem(80, 50)
     state = nc.solve_lp(p, [1.0, 1.0])
-    ev = nc.evaluate_fc_entering(state, p, 1)
+    ev = nc.evaluate_fc_entering(state, 1)
     nc.pivot(state, ev)
     with pytest.raises(nc.StalePivotEval):
         nc.pivot(state, ev)
@@ -569,7 +628,7 @@ def test_pivot_objective_delta_applies_exactly():
     p = parallel_arcs_problem(80, 50)
     state = nc.solve_lp(p, [1.0, 1.0])
     before = nc.fc_objective(p, state.real_flows())
-    ev = nc.evaluate_fc_entering(state, p, 1)
+    ev = nc.evaluate_fc_entering(state, 1)
     nc.pivot(state, ev)
     assert nc.fc_objective(p, state.real_flows()) == before + ev.objective_delta
 
@@ -652,7 +711,7 @@ def test_fc_pivots_keep_full_relabel_labels(checked_exchanges):
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
         moves = np.flatnonzero(ok)
         j = int(cand[moves[np.argmin(xoj[moves])]])
-        nc.pivot(state, nc.evaluate_fc_entering(state, p, j))
+        nc.pivot(state, nc.evaluate_fc_entering(state, j))
     assert checked_exchanges["a"] > 0 and checked_exchanges["b"] > 0
 
 
@@ -671,7 +730,7 @@ def test_exchange_with_leaving_arc_off_the_cycle_is_refused():
     p = fctp_instance()
     state = nc.solve_lp(p, p.cost)
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
-    ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
+    ev = next(ev for ev in (nc.evaluate_fc_entering(state, int(j)) for j in cand)
               if ev.leaving != ev.entering)
     on_cycle = {e for e, _ in ev._cycle}
     off = int(next(e for e in np.flatnonzero(state.basic) if e not in on_cycle))
@@ -683,7 +742,7 @@ def test_exchange_with_leaving_arc_off_its_bound_is_refused_before_any_change():
     p = fctp_instance()
     state = nc.solve_lp(p, p.cost)
     cand, delta, xoj, ok = nc.evaluate_all_entering(state)
-    ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand[delta > 0])
+    ev = next(ev for ev in (nc.evaluate_fc_entering(state, int(j)) for j in cand[delta > 0])
               if ev.leaving != ev.entering)
     inner = [e for e, s in ev._cycle
              if e != ev.entering and 0 < state.flow[e] + s * ev.delta < state.cap[e]]
@@ -731,7 +790,7 @@ def test_copy_shares_no_array_or_adjacency_list():
     for _ in range(10):
         cand, delta, xoj, ok = nc.evaluate_all_entering(clone)
         j = int(cand[np.argmin(np.where(ok, xoj, np.iinfo(np.int64).max))])
-        nc.pivot(clone, nc.evaluate_fc_entering(clone, p, j))
+        nc.pivot(clone, nc.evaluate_fc_entering(clone, j))
     assert not np.array_equal(clone.flow, state.flow)
     for name in arrays:
         assert np.array_equal(getattr(state, name), snapshot[name]), name
@@ -1002,7 +1061,7 @@ def test_kept_sweep_is_exact_through_fc_pivots(monkeypatch, checked_sweeps):
             for step in range(60):
                 cand, delta, xoj, ok = nc.evaluate_all_entering(state)
                 pos = int(np.argmin(xoj)) if step % 3 else int(rng.integers(cand.size))
-                nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pos])))
+                nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[pos])))
         kinds = ("a", "b", "degenerate")
         if path in NARROWED:
             kinds += ("witness skip", "witness on cycle")
@@ -1039,7 +1098,7 @@ def test_second_sweep_without_a_pivot_answers_nothing_again(monkeypatch):
             assert len(answered) == 1
             # one pivot later only the touched candidates are answered again
             cand, delta, xoj, _ = second
-            nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+            nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[np.argmin(xoj)])))
             assert_sweep_is_fresh(state)
             assert 0 < len(answered[1]) < first[0].size
 
@@ -1049,7 +1108,7 @@ def test_full_walk_answers_every_candidate_and_keeps_them_for_a_narrowed_sweep(m
     state = nc.solve_lp(p, p.cost + 0.37)
     with sweep_path(monkeypatch, "full walk"):
         cand, _, xoj, _ = nc.evaluate_all_entering(state)
-        nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+        nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[np.argmin(xoj)])))
         # one pivot past: a full walk must not read a kept answer, even one
         # that a narrowed sweep would keep
         cand = np.flatnonzero(~state.basic[: state.m])
@@ -1061,7 +1120,7 @@ def test_full_walk_answers_every_candidate_and_keeps_them_for_a_narrowed_sweep(m
             assert_sweep_is_fresh(state)
         assert answered == [cand.tolist()]
         cand, _, xoj, _ = nc.evaluate_all_entering(state)
-        nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[np.argmin(xoj)])))
+        nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[np.argmin(xoj)])))
     # the next sweep narrows and reuses what the full walk kept
     with sweep_path(monkeypatch, "narrowed lift") as patch:
         answered = spy_answers(patch, state)
@@ -1075,7 +1134,7 @@ def test_leaving_arc_is_answered_again_whatever_its_stale_answer(monkeypatch):
         with sweep_path(monkeypatch, path) as patch:
             state = nc.solve_lp(p, p.cost + 0.37)
             cand, _, _, _ = nc.evaluate_all_entering(state)
-            ev = next(ev for ev in (nc.evaluate_fc_entering(state, p, int(j)) for j in cand)
+            ev = next(ev for ev in (nc.evaluate_fc_entering(state, int(j)) for j in cand)
                       if ev.leaving != ev.entering and ev.leaving < state.m)
             k = ev.leaving
             on_cycle = {e for e, _ in ev._cycle}
@@ -1109,13 +1168,13 @@ def test_copy_pivoted_differently_keeps_its_own_sweep():
     cand, delta, xoj, _ = nc.evaluate_all_entering(state)
     clone = state.copy()
     order = np.argsort(xoj, kind="stable")
-    nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[order[0]])))
-    nc.pivot(clone, nc.evaluate_fc_entering(clone, p, int(cand[order[-1]])))
+    nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[order[0]])))
+    nc.pivot(clone, nc.evaluate_fc_entering(clone, int(cand[order[-1]])))
     for _ in range(5):
         for s in (state, clone):
             assert_sweep_is_fresh(s)
             c, _, x, _ = nc.evaluate_all_entering(s)
-            nc.pivot(s, nc.evaluate_fc_entering(s, p, int(c[np.argmin(x)])))
+            nc.pivot(s, nc.evaluate_fc_entering(s, int(c[np.argmin(x)])))
     assert not np.array_equal(state.flow, clone.flow)
     assert_sweep_is_fresh(state)
     assert_sweep_is_fresh(clone)
@@ -1144,7 +1203,7 @@ def test_kept_sweep_is_exact_on_random_pivot_sequences(seed, netgen, picks):
         if pick % 8 == 0:
             nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 20.0, size=p.arc_count))
         elif pick % 8 != 1 and cand.size:
-            nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pick % cand.size])))
+            nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[pick % cand.size])))
     assert_sweep_is_fresh(state)
     state.assert_valid_basis()
 
@@ -1167,12 +1226,12 @@ def test_capping_the_root_arcs_drops_the_kept_sweep(monkeypatch):
             assert not state.has_artificial_flow()
             assert_sweep_is_fresh(state)
             cand = nc.evaluate_all_entering(state)[0]
-            stale = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
+            stale = [nc.evaluate_fc_entering(state, j) for j in cand.tolist()]
             answered = spy_answers(patch, state)
             state.close_artificial_arcs()
             assert_sweep_is_fresh(state)
             assert answered == [cand.tolist()]
-            new = [nc.evaluate_fc_entering(state, p, j) for j in cand.tolist()]
+            new = [nc.evaluate_fc_entering(state, j) for j in cand.tolist()]
             assert any(a.leaving != b.leaving and b.leaving >= state.m for a, b in zip(stale, new))
             with pytest.raises(nc.StalePivotEval):
                 nc.pivot(state, stale[0])
@@ -1287,7 +1346,7 @@ def test_integrality_preserved_through_pivots():
         if not sel.size:
             break
         j = int(cand[sel[0]])
-        nc.pivot(state, nc.evaluate_fc_entering(state, p, j))
+        nc.pivot(state, nc.evaluate_fc_entering(state, j))
         state.assert_valid_basis()
 
 

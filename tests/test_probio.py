@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixnet import netcore as nc
-from fixnet import probio
+from fixnet import bench, probio
 
 TWO_NODE = "p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 0 10 3 100\n"
 
@@ -67,6 +67,32 @@ def test_parse_rejects_nonzero_lower_bound():
     with pytest.raises(probio.FcnfSyntaxError) as err:
         probio.parse_fcnf(text)
     assert err.value.line == 4
+
+
+@pytest.mark.parametrize("text,line", [
+    ("p fcnf 2 0\np fcnf 2 0\n", 2),
+    ("c shape\np fcnf 2\n", 2),
+    ("p min 2 0\n", 1),
+    ("p fcnf two 0\n", 1),
+    ("p fcnf 0 0\n", 1),
+    ("c first\nn 1 5\np fcnf 2 0\n", 2),
+    ("p fcnf 2 0\nn 1\n", 2),
+    ("p fcnf 2 0\nn 1 five\n", 2),
+    ("p fcnf 2 0\n\nn 3 5\n", 3),
+    ("p fcnf 2 1\na 1 2 0 10 3\n", 2),
+    ("p fcnf 2 1\na 1 2 0 10 3 1.5\n", 2),
+    ("c only\n\nc comments\n", 3),
+], ids=["duplicate-p", "short-p", "not-fcnf", "non-integer-count", "count-out-of-range",
+        "record-before-p", "short-n", "non-integer-n", "node-out-of-range", "short-a",
+        "non-integer-a", "missing-p"])
+def test_parse_syntax_errors_name_their_line(tmp_path, text, line):
+    with pytest.raises(probio.FcnfSyntaxError) as err:
+        probio.parse_fcnf(text)
+    assert type(err.value) is probio.FcnfSyntaxError
+    assert err.value.line == line and str(err.value).startswith(f"line {line}: ")
+    path = tmp_path / "bad.fcnf"
+    path.write_text(text)
+    assert bench.main(["solve", str(path)]) == 2
 
 
 def test_parse_rejects_garbage_record():
@@ -256,11 +282,30 @@ def test_generators_reject_a_supply_beyond_int64(total):
             nodes=30, source_count=8, sink_count=9, arc_count=120, total_supply=total))
 
 
-def test_fctp_generates_at_the_largest_int64_supply():
+def test_fctp_refuses_the_largest_int64_supply():
+    # its capacities times its costs sum far past 2^62
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the partition's float rounding
-        p = probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=2**63 - 1))
-    assert sum(p.supply[p.supply > 0].tolist()) == 2**63 - 1
+        with pytest.raises(nc.OutOfExactRange):
+            probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=2**63 - 1))
+
+
+def test_fctp_generates_at_the_largest_supply_inside_the_objective_bound():
+    def generates(total):
+        try:
+            probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=total))
+        except nc.OutOfExactRange:
+            return False
+        return True
+
+    lo, hi = 4, 2**63 - 1  # generates, refused
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if generates(mid) else (lo, mid)
+    p = probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=lo))
+    assert sum(p.supply[p.supply > 0].tolist()) == lo
+    bound = sum(abs(c) * u for c, u in zip(p.cost.tolist(), p.cap.tolist())) + sum(p.fixed.tolist())
+    assert 2**62 - 2**32 < bound < 2**62  # refused only at the bound, not short of it
 
 
 def test_netgen_rejects_a_supply_its_skeleton_cannot_carry():

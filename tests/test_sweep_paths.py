@@ -28,7 +28,7 @@ def assert_paths_agree(state, cand, walk=nc._walk, answer=nc._answer):
     assert np.array_equal(walked[2][degenerate], lifted[2][degenerate])
     delta, xoj, witness = walked
     for pos, j in enumerate(cand.tolist()):
-        ev = nc.evaluate_fc_entering(state, state.problem, j)
+        ev = nc.evaluate_fc_entering(state, j)
         assert (delta[pos], xoj[pos]) == (ev.delta, ev.objective_delta)
         if ev.delta == 0:
             blocked = {e for e, s in ev._cycle
@@ -94,7 +94,7 @@ def test_walk_lift_and_cycles_agree_on_random_networks():
             if not cand.size:
                 break
             assert_paths_agree(state, cand)
-            nc.pivot(state, nc.evaluate_fc_entering(state, p, int(cand[pick % cand.size])))
+            nc.pivot(state, nc.evaluate_fc_entering(state, int(cand[pick % cand.size])))
         state.assert_valid_basis()
 
     check()
