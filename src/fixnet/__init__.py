@@ -9,7 +9,6 @@ from .gits import (
     apply_overrides,
     build_penalties,
     params_from_config,
-    params_to_config,
     run,
     v_update,
 )

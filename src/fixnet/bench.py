@@ -16,7 +16,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import gits, oracle, probio
@@ -71,13 +70,9 @@ def _load_params(args) -> gits.Params:
     env_cfg = os.environ.get("FIXNET_CONFIG")
     if env_cfg:
         params = gits.params_from_config(Path(env_cfg).read_text(), base=params)
-    if getattr(args, "config", None):
+    if args.config:
         params = gits.params_from_config(Path(args.config).read_text(), base=params)
-    if getattr(args, "param", None):
-        params = gits.apply_overrides(params, args.param)
-    if getattr(args, "time_limit", None) is not None:
-        params = replace(params, TimeLimit=args.time_limit)
-    return params
+    return gits.apply_overrides(params, args.param)
 
 
 def _fc_span(problem: NetworkProblem):
@@ -195,14 +190,23 @@ def _suite_testset2(base_seed: int):
 
 
 def cmd_generate(args) -> int:
-    if args.count < 1:
-        print(f"error: --count must be at least 1, got {args.count}", file=sys.stderr)
+    # a flag the chosen mode does not read is refused, never silently dropped
+    unread = {"--fctp": args.fctp, "--type": args.type, "--supply": args.supply,
+              "--count": args.count if args.suite == "testset2" else None}
+    given = [flag for flag, value in unread.items() if args.suite and value is not None]
+    if given:
+        print(f"error: --suite {args.suite} does not take {', '.join(given)}", file=sys.stderr)
+        return 2
+    count = args.count if args.count is not None else 1
+    fc_type = args.type or "A"
+    if count < 1:
+        print(f"error: --count must be at least 1, got {count}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
     base_seed = args.seed if args.seed is not None else 0
     jobs = []
     if args.suite == "testset1":
-        jobs = list(_suite_testset1(base_seed, args.count))
+        jobs = list(_suite_testset1(base_seed, count))
     elif args.suite == "testset2":
         jobs = list(_suite_testset2(base_seed))
     elif args.fctp:
@@ -213,11 +217,10 @@ def cmd_generate(args) -> int:
             return 2
         total = (args.supply if args.supply is not None
                  else TS1_SUPPLY.get((m, n)) or 100 * max(m, n))
-        fc_range = FC_TYPES[args.type]
-        for idx in range(args.count):
+        for idx in range(count):
             spec = probio.FctpSpec(sources=m, sinks=n, total_supply=total,
-                                   fc_range=fc_range, seed=base_seed + idx)
-            jobs.append((f"fctp_{m}x{n}_{args.type}_{idx + 1}", spec))
+                                   fc_range=FC_TYPES[fc_type], seed=base_seed + idx)
+            jobs.append((f"fctp_{m}x{n}_{fc_type}_{idx + 1}", spec))
     else:
         print("error: provide --suite or --fctp", file=sys.stderr)
         return 2
@@ -321,8 +324,7 @@ def cmd_oracle(args) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    print(f"optimum={result.optimum} subsets_explored={result.subsets_explored} "
-          f"proven={str(result.proven).lower()}")
+    print(f"optimum={result.optimum} subsets_explored={result.subsets_explored}")
     if args.solution:
         _write_solution(args.solution, problem, result.witness_flows, result.optimum)
     return 0
@@ -332,8 +334,6 @@ def _add_common(parser):
     parser.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                         help="override a Params field (repeatable)")
     parser.add_argument("--config", default=None, help="key=value parameter file")
-    parser.add_argument("--time-limit", type=float, default=None, dest="time_limit",
-                        help="wall-clock budget per solve in seconds")
     parser.add_argument("--output", default=None, help="CSV output path (default stdout)")
 
 
@@ -353,10 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--suite", choices=["testset1", "testset2"], default=None)
     p_gen.add_argument("--fctp", default=None, metavar="MxN",
                        help="one dense transportation shape, e.g. 50x100")
-    p_gen.add_argument("--type", choices=sorted(FC_TYPES), default="A",
-                       help="fixed-charge range label")
+    p_gen.add_argument("--type", choices=sorted(FC_TYPES), default=None,
+                       help="fixed-charge range label (default A)")
     p_gen.add_argument("--supply", type=int, default=None)
-    p_gen.add_argument("--count", type=int, default=1, help="instances per combination")
+    p_gen.add_argument("--count", type=int, default=None,
+                       help="instances per combination (default 1)")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out-dir", default=".", dest="out_dir")
     p_gen.set_defaults(func=cmd_generate)

@@ -25,7 +25,7 @@ class _StopSearch(Exception):
     """Raised when the diversification budget is exhausted."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Params:
     """Tuning knobs. Field names double as config / --param keys."""
 
@@ -39,9 +39,8 @@ class Params:
     Alpha3: float = 0.25
     Beta: float = 0.4
     MaxSol: int = 1000
-    TabuTenure: int = 10
-    DescentTenure: Optional[int] = None
-    AscentTenure: Optional[int] = None
+    DescentTenure: int = 10
+    AscentTenure: int = 10
     LimMatch: int = 10
     sLim: int = 10
     ZeroRefresh: int = 30
@@ -61,10 +60,6 @@ class Params:
             least = 0 if name == "MaxOutsideIter" else 1
             if kind is int and value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}")
-        if self.DescentTenure is None:
-            self.DescentTenure = self.TabuTenure
-        if self.AscentTenure is None:
-            self.AscentTenure = self.TabuTenure
         if abs(self.Alpha1 + self.Alpha2 + self.Alpha3 - 1.0) > 1e-9:
             raise ValueError("Alpha1 + Alpha2 + Alpha3 must equal 1")
         if not 0.0 <= self.Beta <= 1.0:
@@ -99,17 +94,6 @@ def _cast_field(name: str, raw: str):
             return False
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
     return kind(raw)
-
-
-def params_to_config(params: Params) -> str:
-    """Flat key=value serialization; None-valued fields are omitted."""
-    lines = []
-    for f in fields(params):
-        val = getattr(params, f.name)
-        if val is None:
-            continue
-        lines.append(f"{f.name}={val}")
-    return "\n".join(lines) + "\n"
 
 
 def params_from_config(text: str, base: Optional[Params] = None) -> Params:

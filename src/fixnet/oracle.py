@@ -38,7 +38,6 @@ class OracleResult:
     optimum: int
     witness_flows: np.ndarray
     subsets_explored: int
-    proven: bool
 
 
 @dataclass
@@ -111,4 +110,4 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
             best_val = val
             best_flows = flows
     return OracleResult(optimum=best_val, witness_flows=best_flows,
-                        subsets_explored=1 << len(fc), proven=True)
+                        subsets_explored=1 << len(fc))

@@ -163,6 +163,26 @@ def test_bench_reports_an_objective_bound_of_2_62_as_error_row(tmp_path, capsys)
     assert rows[1][bench.CSV_COLUMNS.index("best_z")] == ""
 
 
+def test_bench_reports_an_infeasible_file_as_a_row_with_its_size(tmp_path, capsys):
+    make_small_suite(tmp_path, count=1)
+    (tmp_path / "inf.fcnf").write_text("p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 0 3 3 0\n")
+    out = tmp_path / "res.csv"
+    assert run_cli(["bench", str(tmp_path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err.startswith("error: inf: infeasible (")
+    rows = read_csv(out.read_text())
+    assert [r[0] for r in rows[1:]] == ["i0", "inf", "average"]
+    inf = dict(zip(bench.CSV_COLUMNS, rows[2]))
+    assert (inf["nodes"], inf["arcs"], inf["best_z"], inf["pivots"]) == ("2", "1", "", "")
+
+
+def test_bench_z_ratio_of_a_zero_optimum_is_one(tmp_path):
+    (tmp_path / "free.fcnf").write_text("p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 0 10 0 0\n")
+    out = tmp_path / "res.csv"
+    assert run_cli(["bench", str(tmp_path), "--oracle", "--output", str(out)]) == 0
+    row = dict(zip(bench.CSV_COLUMNS, read_csv(out.read_text())[1]))
+    assert (row["best_z"], row["oracle_z"], row["z_ratio"]) == ("0", "0", "1.000000")
+
+
 def test_solve_just_under_the_objective_bound(tmp_path):
     path = tmp_path / "under.fcnf"
     path.write_text(UNDER)
@@ -202,13 +222,15 @@ def test_solve_config_file_and_env(tmp_path, monkeypatch, two_node_file):
 
 
 @pytest.mark.parametrize("cmd", ["solve", "bench"])
-@pytest.mark.parametrize("case", ["unknown-param", "out-of-range-param", "bad-config-line",
-                                  "missing-env-config"])
+@pytest.mark.parametrize("case", ["unknown-param", "removed-param", "out-of-range-param",
+                                  "bad-config-line", "missing-env-config"])
 def test_bad_parameter_input_exit_code(tmp_path, monkeypatch, capsys, two_node_file, cmd, case):
     target = str(two_node_file) if cmd == "solve" else str(tmp_path)
     argv = [cmd, target]
     if case == "unknown-param":
         argv += ["--param", "Nope=1"]
+    elif case == "removed-param":
+        argv += ["--param", "TabuTenure=3"]
     elif case == "out-of-range-param":
         argv += ["--param", "MaxIter=0"]
     elif case == "bad-config-line":
@@ -228,7 +250,7 @@ def test_bad_parameter_input_exit_code(tmp_path, monkeypatch, capsys, two_node_f
 def test_solve_rejects_a_time_limit_that_is_not_a_finite_budget(two_node_file, tmp_path,
                                                                 capsys, value):
     out = tmp_path / "rec.csv"
-    assert run_cli(["solve", str(two_node_file), "--time-limit", value,
+    assert run_cli(["solve", str(two_node_file), "--param", f"TimeLimit={value}",
                     "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: TimeLimit")
     assert not out.exists()
@@ -237,7 +259,8 @@ def test_solve_rejects_a_time_limit_that_is_not_a_finite_budget(two_node_file, t
 
 def test_solve_time_limit_zero_writes_a_solution(two_node_file, tmp_path):
     out = tmp_path / "rec.csv"
-    assert run_cli(["solve", str(two_node_file), "--time-limit", "0", "--output", str(out)]) == 0
+    assert run_cli(["solve", str(two_node_file), "--param", "TimeLimit=0",
+                    "--output", str(out)]) == 0
     assert read_csv(out.read_text())[1][bench.CSV_COLUMNS.index("best_z")] == "115"
     assert Path(str(two_node_file) + ".sol").read_text().splitlines() == ["s 115", "f 1 2 5"]
 
@@ -269,10 +292,26 @@ def test_generate_requires_a_mode(capsys):
     assert run_cli(["generate"]) == 2
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--count", "0"], ["--count", "-2"]],
-                         ids=["seed", "count0", "count-2"])
+@pytest.mark.parametrize("flags,unread", [
+    (["--suite", "testset1", "--type", "H"], "--type"),
+    (["--suite", "testset1", "--supply", "5"], "--supply"),
+    (["--suite", "testset1", "--fctp", "4x4"], "--fctp"),
+    (["--suite", "testset2", "--count", "3"], "--count"),
+    (["--suite", "testset2", "--fctp", "4x4", "--type", "A"], "--fctp, --type"),
+], ids=["ts1-type", "ts1-supply", "ts1-fctp", "ts2-count", "ts2-fctp-type"])
+def test_generate_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys, flags, unread):
+    assert run_cli(["generate", *flags, "--out-dir", str(tmp_path)]) == 2
+    suite = flags[1]
+    assert capsys.readouterr().err == f"error: --suite {suite} does not take {unread}\n"
+    assert not list(tmp_path.glob("*.fcnf"))
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--count", "0"], ["--count", "-2"],
+                                   ["--count", "0", "--suite", "testset1"]],
+                         ids=["seed", "count0", "count-2", "testset1-count0"])
 def test_generate_rejects_a_negative_seed_and_a_count_below_one(tmp_path, capsys, flags):
-    rc = run_cli(["generate", "--fctp", "4x4", "--out-dir", str(tmp_path), *flags])
+    mode = [] if "--suite" in flags else ["--fctp", "4x4"]
+    rc = run_cli(["generate", *mode, "--out-dir", str(tmp_path), *flags])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("*.fcnf"))
@@ -384,8 +423,7 @@ def test_oracle_subcommand(two_node_file, capsys):
     rc = run_cli(["oracle", str(two_node_file)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "optimum=115" in out
-    assert "proven=true" in out
+    assert out == "optimum=115 subsets_explored=2\n"
 
 
 def test_oracle_writes_a_solution_that_checks(tmp_path, capsys):

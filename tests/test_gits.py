@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,8 +44,8 @@ def test_params_defaults_match_tuned_values():
     assert (p.MaxIter, p.MaxPass, p.MaxInsideImprove) == (50, 10, 40)
     assert (p.BadLuck, p.OutOfLuck) == (5, 20)
     assert (p.Alpha1, p.Alpha2, p.Alpha3, p.Beta) == (0.3, 0.45, 0.25, 0.4)
-    assert (p.MaxSol, p.TabuTenure, p.LimMatch, p.sLim, p.ZeroRefresh) == (1000, 10, 10, 10, 30)
-    assert p.DescentTenure == p.AscentTenure == p.TabuTenure
+    assert (p.MaxSol, p.LimMatch, p.sLim, p.ZeroRefresh) == (1000, 10, 10, 30)
+    assert (p.DescentTenure, p.AscentTenure) == (10, 10)
 
 
 def test_params_validation():
@@ -58,6 +60,7 @@ def test_params_validation():
 @pytest.mark.parametrize("field,value", [
     ("TimeLimit", float("nan")), ("TimeLimit", float("inf")), ("TimeLimit", -1.0),
     ("epsilon", float("nan")), ("epsilon", float("inf")), ("epsilon", 0.0), ("epsilon", -1e-6),
+    ("Beta", -0.1), ("Beta", 1.5),
 ])
 def test_params_reject_non_finite_or_out_of_range_floats(field, value):
     with pytest.raises(ValueError, match=field):
@@ -67,7 +70,7 @@ def test_params_reject_non_finite_or_out_of_range_floats(field, value):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("DoTabu", "no"), ("DoTabu", 1), ("sLim", 2.5), ("TabuTenure", "5"), ("Beta", "0.4"),
+    ("DoTabu", "no"), ("DoTabu", 1), ("sLim", 2.5), ("DescentTenure", "5"), ("Beta", "0.4"),
     ("MaxIter", True), ("MaxIter", 2.5), ("MaxOutsideIter", 1.0), ("TimeLimit", "1"),
 ])
 def test_params_reject_a_value_of_the_wrong_type(field, value):
@@ -82,10 +85,52 @@ def test_params_take_numpy_numbers_and_ints_for_floats():
 
 
 def test_params_config_round_trip():
-    p = gits.Params(MaxPass=3, Beta=0.25, DoTabu=False)
-    text = gits.params_to_config(p)
-    q = gits.params_from_config(text)
-    assert q == p
+    text = """# every field, none at its default
+    MaxIter=60
+    MaxPass=3
+    MaxInsideImprove=30
+    BadLuck=4
+    OutOfLuck=15
+    Alpha1=0.5
+    Alpha2=0.3
+    Alpha3=0.2
+    Beta=0.25
+    MaxSol=500
+    DescentTenure=3
+    AscentTenure=7
+    LimMatch=5
+    sLim=6
+    ZeroRefresh=20
+    DoTabu=false
+    epsilon=1e-7
+    MaxOutsideIter=4
+    TimeLimit=2.5
+    """
+    p = gits.Params(MaxIter=60, MaxPass=3, MaxInsideImprove=30, BadLuck=4, OutOfLuck=15,
+                    Alpha1=0.5, Alpha2=0.3, Alpha3=0.2, Beta=0.25, MaxSol=500,
+                    DescentTenure=3, AscentTenure=7, LimMatch=5, sLim=6, ZeroRefresh=20,
+                    DoTabu=False, epsilon=1e-7, MaxOutsideIter=4, TimeLimit=2.5)
+    assert gits.params_from_config(text) == p
+    assert all(getattr(p, f.name) != f.default for f in dataclasses.fields(p))
+
+
+def test_params_overrides_read_none_and_booleans_and_refuse_a_bare_key():
+    p = gits.apply_overrides(gits.Params(MaxOutsideIter=3, TimeLimit=2.0, DoTabu=False),
+                             ["MaxOutsideIter=none", "TimeLimit=", "DoTabu=on"])
+    assert (p.MaxOutsideIter, p.TimeLimit, p.DoTabu) == (None, None, True)
+    with pytest.raises(ValueError, match="DoTabu: expected a boolean"):
+        gits.apply_overrides(p, ["DoTabu=maybe"])
+    with pytest.raises(ValueError, match="expected KEY=VALUE"):
+        gits.apply_overrides(p, ["MaxPass"])
+    with pytest.raises(ValueError):  # None only where the field allows it
+        gits.apply_overrides(p, ["MaxIter=none"])
+
+
+def test_params_are_frozen():
+    p = gits.Params()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.MaxIter = 5
+    assert p == gits.Params()
 
 
 def test_params_overrides():
@@ -384,6 +429,13 @@ def test_tabu_mark_matches_tenure_rule():
     assert eng.tenure_log, "no pivots recorded"
     for inside_iter, tenure, tabu_val in eng.tenure_log:
         assert tabu_val == inside_iter + tenure
+
+
+def test_phase_tenure_overrides_reach_the_search():
+    prm = gits.apply_overrides(gits.Params(), ["DescentTenure=3", "AscentTenure=7"])
+    eng = RecordingEngine(quality_instance(1), prm)
+    eng.run()
+    assert {tenure for _, tenure, _ in eng.tenure_log} == {3, 7}
 
 
 def test_descent_flips_at_most_once_per_inside_loop():

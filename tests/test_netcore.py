@@ -130,6 +130,25 @@ def test_problem_rejects_unequal_arc_columns():
         nc.NetworkProblem([1, -1], [0, 0], [1], [3], [0], [10])
 
 
+def test_problem_rejects_a_column_that_is_not_one_dimensional():
+    with pytest.raises(ValueError, match="supply must be a one-dimensional sequence"):
+        nc.NetworkProblem([[5, -5]], [0], [1], [3], [0], [10])
+    with pytest.raises(nc.BadArcEndpoint, match="tail must be a one-dimensional sequence"):
+        nc.NetworkProblem([5, -5], 0, [1], [3], [0], [10])
+
+
+def test_validate_rejects_an_instance_without_nodes():
+    with pytest.raises(ValueError, match="at least one node"):
+        nc.validate(nc.make_problem([], []))
+
+
+def test_problem_equals_only_a_problem_with_equal_columns():
+    p = nc.make_problem([5, -5], [(0, 1, 3, 100, 10)])
+    assert p == nc.make_problem([5, -5], [(0, 1, 3, 100, 10)])
+    assert p != nc.make_problem([5, -5], [(0, 1, 3, 100, 11)])
+    assert p.__eq__(p.arcs) is NotImplemented and p != p.arcs
+
+
 def test_problem_columns_are_read_only_int64():
     p = nc.make_problem([5, -5], [(0, 1, 3, 100, 10)])
     for col in (p.supply, p.tail, p.head, p.cost, p.fixed, p.cap):
@@ -819,6 +838,51 @@ def test_valid_basis_checks_tree_labels(name, node, value):
     getattr(state, name)[i] = value
     with pytest.raises(nc.SimplexStalled):
         state.assert_valid_basis()
+
+
+def _corrupt_tree_count(state):
+    state.basic[int(np.flatnonzero(~state.basic)[0])] = True
+
+
+def _corrupt_flow_bound(state):
+    j = int(np.flatnonzero(state.basic[:state.m])[0])
+    state.flow[j] = state.cap[j] + 1
+
+
+def _corrupt_conservation(state):
+    # one more unit on a tree arc that has room: every bound still holds
+    j = int(np.flatnonzero(state.basic & (state.flow < state.cap))[0])
+    state.flow[j] += 1
+
+
+def _corrupt_label_range(state):
+    state.pred_arc[int(np.argmax(state.depth))] = state.E
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (_corrupt_tree_count, "tree arc count is not node count"),
+    (_corrupt_flow_bound, "flow bound violated"),
+    (_corrupt_conservation, "flow conservation violated"),
+    (_corrupt_label_range, "parent or pred arc label out of range"),
+], ids=["tree-count", "flow-bound", "conservation", "label-range"])
+def test_valid_basis_refuses_a_corrupted_copy(corrupt, match):
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    bad = state.copy()
+    corrupt(bad)
+    with pytest.raises(nc.SimplexStalled, match=match):
+        bad.assert_valid_basis()
+    state.assert_valid_basis()  # the copy shares nothing with the solved state
+
+
+def test_relabel_of_a_basis_that_does_not_span_is_refused():
+    p = fctp_instance()
+    bad = nc.solve_lp(p, p.cost).copy()
+    j = int(np.flatnonzero(bad.basic[:bad.m])[0])
+    bad.tree_adj[int(bad.tail[j])].remove(j)
+    bad.tree_adj[int(bad.head[j])].remove(j)
+    with pytest.raises(nc.SimplexStalled, match="basis arcs do not span every node"):
+        bad._rebuild()
 
 
 # -- labels kept through cost changes ----------------------------------------------

@@ -93,7 +93,6 @@ def test_oracle_no_charges_is_one_lp():
     res = oracle.brute_force_opt(p)
     assert res.subsets_explored == 1
     assert res.optimum == 15
-    assert res.proven
 
 
 def test_oracle_diagonal_instance():
@@ -306,6 +305,12 @@ def test_check_solution_names_conservation_violation():
     report = oracle.check_solution(p, [5, 0, 0, 4])
     assert not report.feasible
     assert any("node" in v for v in report.violations)
+
+
+def test_check_solution_names_a_flow_vector_of_the_wrong_shape():
+    report = oracle.check_solution(two_by_two_diagonal(), [5, 0, 0])
+    assert not report.feasible and report.objective is None
+    assert report.violations == ["flow vector has shape (3,), expected (4,)"]
 
 
 def test_check_solution_flags_fractional_flow():

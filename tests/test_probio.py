@@ -316,6 +316,50 @@ def test_netgen_rejects_a_supply_its_skeleton_cannot_carry():
             nodes=30, source_count=8, sink_count=9, arc_count=120, total_supply=2**63 - 1))
 
 
+def netgen_spec(**fields):
+    base = dict(nodes=30, source_count=8, sink_count=9, arc_count=120, total_supply=900)
+    return probio.NetgenFcSpec(**{**base, **fields})
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=40,
+                                                  cost_range=(8, 3))),
+     r"cost range \[8, 3\] is empty"),
+    (lambda: probio.generate_fctp(probio.FctpSpec(sources=0, sinks=4, total_supply=40)),
+     "at least one source and one sink"),
+    (lambda: probio.generate_fctp(probio.FctpSpec(sources=4, sinks=4, total_supply=40,
+                                                  fc_count=-1)),
+     "fc_count must be nonnegative"),
+    (lambda: probio.generate_netgen_fc(netgen_spec(total_supply=5)),
+     "cannot split 5 into 8 positive parts"),
+    (lambda: probio._partition(np.random.default_rng(0), 40, 4, upper=9),
+     "cannot split 40 into 4 parts of at most 9"),
+    (lambda: probio.generate_netgen_fc(netgen_spec(nodes=4, source_count=1, sink_count=1,
+                                                   arc_count=13)),
+     "exceeds simple-digraph maximum"),
+    # one relay, and two chunks of cap_hi between the same source and sink
+    (lambda: probio.generate_netgen_fc(netgen_spec(nodes=3, source_count=1, sink_count=1,
+                                                   arc_count=6, total_supply=10,
+                                                   cap_range=(1, 5))),
+     "no relay node can absorb a skeleton chunk"),
+    # two relays carry one chunk each: four skeleton arcs for a budget of three
+    (lambda: probio.generate_netgen_fc(netgen_spec(nodes=4, source_count=1, sink_count=1,
+                                                   arc_count=3, total_supply=10,
+                                                   cap_range=(1, 5))),
+     "arc budget 3 below skeleton size 4"),
+    # no relay: both chunks land on the one source-sink arc
+    (lambda: probio.generate_netgen_fc(netgen_spec(nodes=2, source_count=1, sink_count=1,
+                                                   arc_count=2, total_supply=10,
+                                                   cap_range=(1, 5))),
+     "skeleton flow exceeds the capacity range"),
+], ids=["empty-range", "no-source", "negative-fc-count", "supply-below-sources",
+        "parts-above-upper", "too-many-arcs", "no-relay-room", "skeleton-over-budget",
+        "skeleton-over-capacity"])
+def test_generators_refuse_a_spec_they_cannot_meet(make, match):
+    with pytest.raises(probio.InfeasibleSpec, match=match):
+        make()
+
+
 def test_netgen_rejects_bad_specs():
     with pytest.raises(probio.InfeasibleSpec):
         probio.generate_netgen_fc(
