@@ -9,10 +9,10 @@ patterns trigger frequency-based diversification.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
+from sys import float_info
 from typing import Optional
 
 import numpy as np
@@ -60,15 +60,16 @@ class Params:
             least = 0 if name == "MaxOutsideIter" else 1
             if kind is int and value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}")
+            if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if abs(self.Alpha1 + self.Alpha2 + self.Alpha3 - 1.0) > 1e-9:
             raise ValueError("Alpha1 + Alpha2 + Alpha3 must equal 1")
         if not 0.0 <= self.Beta <= 1.0:
             raise ValueError("Beta must lie in [0, 1]")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError("epsilon must be a positive finite number")
-        if self.TimeLimit is not None and not (
-                math.isfinite(self.TimeLimit) and self.TimeLimit >= 0.0):
-            raise ValueError("TimeLimit must be a non-negative finite number of seconds")
+        if not self.epsilon > 0.0:
+            raise ValueError("epsilon must be positive")
+        if self.TimeLimit is not None and not self.TimeLimit >= 0.0:
+            raise ValueError("TimeLimit must be a non-negative number of seconds")
 
 
 # The Params schema, read once from the annotations: per field, its kind and
@@ -77,6 +78,8 @@ _ANNOTATIONS = {"int": (int, False), "float": (float, False), "bool": (bool, Fal
                 "Optional[int]": (int, True), "Optional[float]": (float, True)}
 _FIELD_KINDS = {f.name: _ANNOTATIONS[f.type] for f in fields(Params)}
 _ABSTRACT = {int: numbers.Integral, float: numbers.Real, bool: bool}
+# Compared exactly, an int too large for a float lies outside, and NaN fails.
+_FLOAT_MAX = float_info.max
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -93,7 +96,11 @@ def _cast_field(name: str, raw: str):
         if low in _BOOL_FALSE:
             return False
         raise ValueError(f"{name}: expected a boolean, got {raw!r}")
-    return kind(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name}: expected {noun}, got {raw!r}") from None
 
 
 def params_from_config(text: str, base: Optional[Params] = None) -> Params:

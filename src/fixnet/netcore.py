@@ -464,6 +464,17 @@ class SimplexState:
         j = int(np.argmax(viol))
         return j if viol[j] > PRICE_TOL else -1
 
+    def prices(self, j: int, cost: float) -> bool:
+        """`_price`'s test for one nonbasic arc j at working cost `cost`:
+        whether its violation at the current potentials exceeds PRICE_TOL.
+        The reduced cost is summed in `reduced_costs`' order, so the answer
+        is `_price`'s bit for bit."""
+        if self.cap[j] == 0:
+            return False
+        pw = self.pot_work
+        rc = cost - pw[self.tail[j]] + pw[self.head[j]]
+        return (-rc if self.flow[j] == 0 else rc) > PRICE_TOL
+
     def _cycle(self, j: int):
         """Ratio test over the basis cycle of nonbasic arc j in its push direction.
 

@@ -7,8 +7,10 @@ differ in one arc, so every LP after the first is a one-toggle warm start.
 The arcs the plain-cost LP is least likely to use, those of highest reduced
 cost there, take the bits that toggle most often, so most toggles change the
 cost of an arc the current LP leaves empty: the tree labels are kept and few
-pivots follow. A pattern whose re-solve does not pivot keeps the previous
-pattern's flows, and its objective is not recomputed.
+pivots follow. A toggle is re-solved only when it moves a tree arc or when
+exact pricing would let the toggled arc enter; otherwise the basis is still
+optimal and the pattern keeps the previous pattern's flows. Each distinct
+flow vector is checked and charged once per call.
 """
 
 from __future__ import annotations
@@ -69,11 +71,17 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
 
     The charged arcs are ordered once, by descending reduced cost at the
     plain-cost LP and then by descending unit cost, and the Gray-code bit
-    of rank i toggles the i-th; every pattern is still priced. Raising the
-    cost of a nonbasic arc at 0, or lowering it at capacity, keeps the basis
-    optimal, so that toggle is not re-solved; the next re-solve installs the
-    whole vector. The objective is recomputed only when a re-solve pivots:
-    without a pivot the flows, and so the value, are the previous pattern's.
+    of rank i toggles the i-th; every pattern is still priced. A toggle of
+    a nonbasic arc that `SimplexState.prices` does not pick at its new cost
+    is not re-solved: no tree arc's cost changed, so the potentials and
+    every other reduced cost are those of the last re-solve, which left no
+    violation, and a re-solve would make no pivot. The next re-solve
+    installs the whole vector. A toggle of a tree arc is always re-solved.
+    Without a pivot the flows, and so the value, are the previous pattern's.
+    The objective of each distinct flow vector is computed once, through
+    the full check, and kept in a dict for this call only; the incumbent
+    changes only on a strict improvement, so the witness is the first flow
+    vector found at the optimum.
     """
     validate(problem)
     fc = np.flatnonzero(problem.fixed > 0).tolist()
@@ -88,26 +96,28 @@ def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleRes
     rc, cost = state.reduced_costs().tolist(), problem.cost.tolist()
     fc.sort(key=lambda j: (-rc[j], -cost[j]))  # stable: full ties keep index order
 
-    flows = state.real_flows()
-    best_val = fc_objective(problem, flows)
-    best_flows = flows
+    best_flows = state.real_flows()
+    best_val = fc_objective(problem, best_flows)
+    seen = {best_flows.tobytes(): best_val}
 
     costs = base.copy()
     for step in range(1, 1 << len(fc)):
         bit = (step & -step).bit_length() - 1
         arc = fc[bit]
-        raised = costs[arc] != bigm
-        costs[arc] = bigm if raised else base[arc]
-        if not state.basic[arc] and (state.flow[arc] == 0) == raised:
+        costs[arc] = bigm if costs[arc] != bigm else base[arc]
+        if not state.basic[arc] and not state.prices(arc, costs[arc]):
             continue
         pivots = state.pivot_count
         reoptimize(state, costs)
         if state.pivot_count == pivots:
             continue
         flows = state.real_flows()
-        val = fc_objective(problem, flows)
-        if val < best_val:
-            best_val = val
-            best_flows = flows
+        key = flows.tobytes()
+        val = seen.get(key)
+        if val is None:
+            val = seen[key] = fc_objective(problem, flows)
+            if val < best_val:
+                best_val = val
+                best_flows = flows
     return OracleResult(optimum=best_val, witness_flows=best_flows,
                         subsets_explored=1 << len(fc))

@@ -149,40 +149,26 @@ def _check_range(name, rng_pair):
         raise InfeasibleSpec(f"{name} range [{lo}, {hi}] is empty")
 
 
-def _partition(rng: np.random.Generator, total: int, k: int,
-               upper: Optional[int] = None) -> np.ndarray:
-    """Split total into k random positive integers (each <= upper when given)."""
+def _partition(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
+    """Split total into k random positive integers."""
     if k < 1 or total < k:
         raise InfeasibleSpec(f"cannot split {total} into {k} positive parts")
-    if upper is not None and total > k * upper:
-        raise InfeasibleSpec(f"cannot split {total} into {k} parts of at most {upper}")
     if total >= 2**63:
         raise InfeasibleSpec(f"total supply {total} exceeds the int64 range")
     w = rng.integers(1, 1_000_000, size=k).astype(np.float64)
     parts = np.floor(total * w / w.sum()).astype(np.int64)
     np.maximum(parts, 1, out=parts)
-    if upper is not None:
-        np.minimum(parts, upper, out=parts)
     diff = int(total - parts.sum())
-    # Residue repair: adjust the largest entries first, respecting bounds.
-    while diff != 0:
-        if diff > 0:
-            if upper is None:
-                parts[int(np.argmax(parts))] += diff
-                diff = 0
-            else:
-                room = upper - parts
-                idx = int(np.argmax(room))
-                step = min(diff, int(room[idx]))
-                parts[idx] += step
-                diff -= step
-        else:
-            idx = int(np.argmax(parts))
-            step = min(-diff, int(parts[idx]) - 1)
-            if step == 0:
-                raise InfeasibleSpec("partition repair failed")
-            parts[idx] -= step
-            diff += step
+    # Residue repair on the largest entries first, keeping each part positive.
+    if diff > 0:
+        parts[int(np.argmax(parts))] += diff
+    while diff < 0:
+        idx = int(np.argmax(parts))
+        step = min(-diff, int(parts[idx]) - 1)
+        if step == 0:
+            raise InfeasibleSpec("partition repair failed")
+        parts[idx] -= step
+        diff += step
     return parts
 
 

@@ -257,6 +257,18 @@ def test_solve_rejects_a_time_limit_that_is_not_a_finite_budget(two_node_file, t
     assert not Path(str(two_node_file) + ".sol").exists()
 
 
+@pytest.mark.parametrize("pair", ["Alpha1=nan", "MaxIter=abc"])
+def test_solve_refuses_a_parameter_value_that_does_not_parse_to_a_finite_number(
+        two_node_file, tmp_path, capsys, pair):
+    out = tmp_path / "rec.csv"
+    assert run_cli(["solve", str(two_node_file), "--param", pair, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pair.split('=')[0]}")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not Path(str(two_node_file) + ".sol").exists()
+
+
 def test_solve_time_limit_zero_writes_a_solution(two_node_file, tmp_path):
     out = tmp_path / "rec.csv"
     assert run_cli(["solve", str(two_node_file), "--param", "TimeLimit=0",

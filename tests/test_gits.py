@@ -138,6 +138,28 @@ def test_params_overrides():
     assert p.MaxPass == 2 and p.DoTabu is False and p.epsilon == 1e-7
     with pytest.raises(ValueError):
         gits.apply_overrides(gits.Params(), ["NoSuchKey=1"])
+    with pytest.raises(ValueError, match=r"^MaxIter: expected an integer, got 'abc'$"):
+        gits.apply_overrides(gits.Params(), ["MaxIter=abc"])
+    with pytest.raises(ValueError, match=r"^MaxOutsideIter: expected an integer, got '2.5'$"):
+        gits.apply_overrides(gits.Params(), ["MaxOutsideIter=2.5"])
+    with pytest.raises(ValueError, match=r"^Beta: expected a number, got 'half'$"):
+        gits.apply_overrides(gits.Params(), ["Beta=half"])
+    with pytest.raises(ValueError, match=r"^TimeLimit: expected a number, got '1s'$"):
+        gits.apply_overrides(gits.Params(), ["TimeLimit=1s"])
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(gits.Params)
+                                   if f.type in ("float", "Optional[float]")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-past-float"])
+def test_params_refuse_a_non_finite_value_for_every_float_field(field, value):
+    # NaN passes every comparison a range check makes, Alpha1 + Alpha2 +
+    # Alpha3 == 1 included, so finiteness is checked on its own; an int past
+    # the float range is refused there too, not by an OverflowError later
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        gits.Params(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        gits.apply_overrides(gits.Params(), [f"{field}={value}"])
 
 
 # -- build_penalties --------------------------------------------------------------

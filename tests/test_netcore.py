@@ -997,6 +997,39 @@ def test_cost_changes_keep_labels_equal_to_a_rebuild(monkeypatch, make):
         state.optimize()
 
 
+def zero_cap_netgen_instance():
+    # capacities from 0: one real arc has none, besides the capped root arcs
+    return probio.generate_netgen_fc(probio.NetgenFcSpec(
+        nodes=40, source_count=6, sink_count=8, arc_count=240, total_supply=900,
+        cap_range=(0, 90), seed=0))
+
+
+@pytest.mark.parametrize("make", [fctp_instance, netgen_instance, zero_cap_netgen_instance],
+                         ids=["fctp", "netgen", "netgen-cap0"])
+def test_scalar_pricing_agrees_with_price_on_every_nonbasic_arc(make):
+    # at 20 warm starts under random penalties, prices(j, work[j]) holds on
+    # exactly the nonbasic arcs _price's vector rule finds violating
+    p = make()
+    state = nc.solve_lp(p, p.cost)
+    assert np.any(state.cap[~state.basic] == 0)
+    rng = np.random.default_rng(17)
+    priced = 0
+    for _ in range(20):
+        state.set_costs(p.cost + p.fixed / rng.uniform(1.0, 90.0, size=p.arc_count))
+        rc = state.reduced_costs()
+        viol = np.where(state.flow == 0, -rc, rc)
+        viol[state.basic | (state.cap == 0)] = 0.0
+        nonbasic = np.flatnonzero(~state.basic)
+        got = np.array([state.prices(j, state.work[j]) for j in nonbasic])
+        assert np.array_equal(got, viol[nonbasic] > nc.PRICE_TOL)
+        j = state._price()
+        assert (j >= 0) == got.any() and (j < 0 or state.prices(j, state.work[j]))
+        priced += int(got.sum())
+        state.optimize()
+        assert not any(state.prices(j, state.work[j]) for j in np.flatnonzero(~state.basic))
+    assert priced > 0
+
+
 # -- kept sweep answers ---------------------------------------------------------------
 
 

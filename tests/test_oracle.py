@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import warnings
 
@@ -188,14 +189,19 @@ ORDER_CASES = [
     ("netgen", lambda seed: probio.generate_netgen_fc(probio.NetgenFcSpec(
         nodes=7, source_count=2, sink_count=2, arc_count=10, total_supply=90,
         cap_range=(30, 90), seed=seed))),
+    # seed 0 has a charged arc of capacity 0, which the LP can never price
+    ("netgen-cap0", lambda seed: probio.generate_netgen_fc(probio.NetgenFcSpec(
+        nodes=7, source_count=2, sink_count=2, arc_count=10, total_supply=90,
+        cap_range=(0, 90), seed=seed))),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("make", [m for _, m in ORDER_CASES], ids=[i for i, _ in ORDER_CASES])
 def test_reordered_enumeration_keeps_the_index_order_optimum(make, seed):
-    # the oracle toggles its charged arcs by reduced cost, not by index, and
-    # skips the objective of patterns whose re-solve does not pivot
+    # the oracle toggles its charged arcs by reduced cost, not by index,
+    # re-solves only toggles that break optimality, and prices each distinct
+    # flow vector once
     p = make(seed)
     k = int(np.count_nonzero(p.fixed))
     res = oracle.brute_force_opt(p)
@@ -206,29 +212,57 @@ def test_reordered_enumeration_keeps_the_index_order_optimum(make, seed):
 
 
 @pytest.mark.parametrize("seed", [9000, 9001, 9002])
-def test_oracle_skips_only_toggles_that_move_a_nonbasic_arc_away_from_entering(monkeypatch, seed):
-    # Between two re-solves, every cost change but the one that forced the
-    # second must be on a nonbasic arc and raise it at flow 0 or lower it at
-    # capacity; an inverted skip rule still finds every optimum here.
+def test_oracle_re_solves_only_toggles_that_break_optimality(monkeypatch, seed):
+    # Between two re-solves, every cost change but the toggle that forced the
+    # second must be on a nonbasic arc that pricing does not pick at the
+    # potentials of that moment; the forcing toggle is on a tree arc or is
+    # picked. An inverted skip rule still finds every optimum here.
     p = probio.generate_fctp(probio.FctpSpec(4, 4, total_supply=400, fc_count=12, seed=seed))
     last = [p.cost.astype(np.float64)]
-    violations = []
+    forcing = []
     reoptimize = oracle.reoptimize
 
     def spy(state, costs):
         c = np.asarray(costs, dtype=np.float64)
         changed = np.flatnonzero(c != last[0])
-        raised = c[changed] > last[0][changed]
-        away = ~state.basic[changed] & ((state.flow[changed] == 0) == raised)
-        if np.count_nonzero(~away) > 1:
-            violations.append(changed[~away].tolist())
+        breaks = [j for j in changed.tolist()
+                  if state.basic[j] or state.prices(j, c[j])]
+        forcing.append(len(breaks))
         last[0] = c.copy()
         return reoptimize(state, costs)
 
     monkeypatch.setattr(oracle, "reoptimize", spy)
     res = oracle.brute_force_opt(p, max_fc_arcs=14)
-    assert violations == []
+    assert forcing and set(forcing) == {1}
     assert res.subsets_explored == 2**12
+
+
+# brute_force_opt's optimum and the sha256 of its witness flows (int64 bytes)
+# on the nine small_exact instances of benchmark seed 0, before the exact skip
+# rule and the per-call objective dict: neither may change an answer.
+SMALL_EXACT_SEED0 = [
+    (4, 9000, 2154, "da41ac6151f1bb12d799b88e28a635229fde35e12b80470d6506df15192b0de5"),
+    (4, 9001, 2429, "639c4bf2a1b9095657bdc7e5f9aa454112e8744b80a36d752d83287a9e884b70"),
+    (4, 9002, 2431, "e6748d92a100755d99392384d2cf9796d654faf631673522524a5dca0d88d77b"),
+    (5, 9003, 2026, "b474c3f9b64491fd4d79a292c964cbf557fba3500878bb068e86c6d589a03cd6"),
+    (5, 9004, 2384, "f2749435c074beed6ebc6f1e05273a88212f6b924a159bb5285cc7fb5f1b27df"),
+    (5, 9005, 2151, "2f7ec6d1e79c2d44fbad145183724dc18badb5da3f00dbf3c19a91e626259796"),
+    (6, 9006, 2896, "07de189765240f2e71f3e3ffe1739dc31e4aa0620cfc8fcb821b67c49b68afba"),
+    (6, 9007, 2257, "39b9fea1e9de5a4fff9c6f589787fa34eefcb4a483ce29a382835478db7612c1"),
+    (6, 9008, 2713, "dbe9199139d42bfded98bb14577067ba6b3cd7ebd4657b8fc8a27a849a9c9b40"),
+]
+
+
+@pytest.mark.parametrize("size,seed,optimum,witness", SMALL_EXACT_SEED0,
+                         ids=[str(case[1]) for case in SMALL_EXACT_SEED0])
+def test_oracle_keeps_the_pinned_small_exact_answers(size, seed, optimum, witness):
+    p = probio.generate_fctp(probio.FctpSpec(size, size, total_supply=100 * size,
+                                             cost_range=(3, 8), fc_range=(50, 200),
+                                             fc_count=12, seed=seed))
+    res = oracle.brute_force_opt(p, max_fc_arcs=14)
+    flows = np.asarray(res.witness_flows, dtype=np.int64)
+    assert (res.optimum, res.subsets_explored) == (optimum, 2**12)
+    assert hashlib.sha256(flows.tobytes()).hexdigest() == witness
 
 
 def test_oracle_witness_consistency():

@@ -186,16 +186,6 @@ def test_partition_exact_and_positive(seed, k, total):
     assert (parts >= 1).all()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 12))
-def test_partition_respects_upper_bound(seed, k):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    total = 7 * k
-    parts = probio._partition(rng, total, k, upper=9)
-    assert parts.sum() == total
-    assert (parts >= 1).all() and (parts <= 9).all()
-
-
 # -- generate_netgen_fc -------------------------------------------------------------
 
 
@@ -332,8 +322,6 @@ def netgen_spec(**fields):
      "fc_count must be nonnegative"),
     (lambda: probio.generate_netgen_fc(netgen_spec(total_supply=5)),
      "cannot split 5 into 8 positive parts"),
-    (lambda: probio._partition(np.random.default_rng(0), 40, 4, upper=9),
-     "cannot split 40 into 4 parts of at most 9"),
     (lambda: probio.generate_netgen_fc(netgen_spec(nodes=4, source_count=1, sink_count=1,
                                                    arc_count=13)),
      "exceeds simple-digraph maximum"),
@@ -353,7 +341,7 @@ def netgen_spec(**fields):
                                                    cap_range=(1, 5))),
      "skeleton flow exceeds the capacity range"),
 ], ids=["empty-range", "no-source", "negative-fc-count", "supply-below-sources",
-        "parts-above-upper", "too-many-arcs", "no-relay-room", "skeleton-over-budget",
+        "too-many-arcs", "no-relay-room", "skeleton-over-budget",
         "skeleton-over-capacity"])
 def test_generators_refuse_a_spec_they_cannot_meet(make, match):
     with pytest.raises(probio.InfeasibleSpec, match=match):
