@@ -107,6 +107,13 @@ def _write_csv(rows, output):
         sys.stdout.write(text)
 
 
+def _output_error(exc: OSError) -> int:
+    """Report an output file that cannot be written; its exit code is 2."""
+    where = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    print(f"error: {where}", file=sys.stderr)
+    return 2
+
+
 def _write_solution(path, problem: NetworkProblem, flows, value) -> None:
     lines = [f"s {value}"]
     for t, h, x in zip(problem.tail.tolist(), problem.head.tolist(), flows):
@@ -146,8 +153,11 @@ def cmd_solve(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     solution_path = args.solution or (str(args.input) + ".sol")
-    _write_solution(solution_path, problem, result.best_flows, result.best_value)
-    _write_csv([rec], args.output)
+    try:
+        _write_solution(solution_path, problem, result.best_flows, result.best_value)
+        _write_csv([rec], args.output)
+    except OSError as exc:
+        return _output_error(exc)
     return 0
 
 
@@ -244,7 +254,9 @@ def cmd_generate(args) -> int:
             path = out_dir / f"{name}.fcnf"
             path.write_text(probio.write_fcnf(problem, comments=(header,)))
             print(path)
-    except (probio.InfeasibleSpec, OutOfExactRange, OSError) as exc:
+    except OSError as exc:
+        return _output_error(exc)
+    except (probio.InfeasibleSpec, OutOfExactRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -304,7 +316,10 @@ def cmd_bench(args) -> int:
     solved = [r for r in rows if isinstance(r.get("best_z"), (int, float))]
     if solved:
         rows.append(_summary_row(solved))
-    _write_csv(rows, args.output)
+    try:
+        _write_csv(rows, args.output)
+    except OSError as exc:
+        return _output_error(exc)
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     return 0
@@ -326,7 +341,10 @@ def cmd_oracle(args) -> int:
         return 3
     print(f"optimum={result.optimum} subsets_explored={result.subsets_explored}")
     if args.solution:
-        _write_solution(args.solution, problem, result.witness_flows, result.optimum)
+        try:
+            _write_solution(args.solution, problem, result.witness_flows, result.optimum)
+        except OSError as exc:
+            return _output_error(exc)
     return 0
 
 

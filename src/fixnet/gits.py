@@ -1,8 +1,9 @@
 """Self-organizing ghost-image tabu search over a warm-started network simplex.
 
-The search keeps an idealized LP relaxation whose per-arc penalties p_j = F_j/v_j
-spread each fixed charge over a self-adjusting typical flow v_j. Outer passes
-alternate penalty re-solves with a restriction refinement and an inside loop of
+The search keeps an idealized LP relaxation whose penalties p_j = F_j/v_j on
+the charged arcs spread each fixed charge over a self-adjusting typical flow
+v_j; an uncharged arc keeps its unit cost. Outer passes alternate penalty
+re-solves with a restriction refinement and an inside loop of
 fixed-charge-guided simplex pivots under simple tabu control; duplicate zero
 patterns trigger frequency-based diversification.
 """
@@ -134,25 +135,21 @@ def apply_overrides(params: Params, pairs) -> Params:
 
 @dataclass
 class Penalties:
-    """Penalty state: denominators v, penalties p, history means, proxy bounds."""
+    """Ghost-image parameters, one entry per charged arc in index order:
+    typical flows v, history means and max-flow proxies u0; u_o is the
+    scalar flow proxy and num_sol the count of blended solutions."""
 
     v: np.ndarray
-    p: np.ndarray
     mean: np.ndarray
     u_o: int
     u0: np.ndarray
-    fc_idx: np.ndarray
     num_sol: int = 0
-
-    def raise_u0(self, flows: np.ndarray) -> None:
-        """Raise the per-arc max-flow proxies to the charged arcs' flows."""
-        i = self.fc_idx
-        self.u0[i] = np.maximum(self.u0[i], flows[i])
 
 
 @dataclass
 class SearchMemory:
-    """Tabu tenures, duplicate-signature ring and every loop counter and flag."""
+    """Tabu marks per arc; the current zero pattern, the (sLim, k) signature
+    ring and the zero counts per charged arc; every loop counter and flag."""
 
     tabu: np.ndarray
     ring: np.ndarray
@@ -167,19 +164,18 @@ class SearchMemory:
     gbest_iter: int = 0
     best_pass: int = 0
     last_inside_improve: int = 0
-    tenure: int = 0
     aspire: int = 0
     descent: bool = True
     improve: bool = False
     inside_ok: bool = True
 
     @classmethod
-    def fresh(cls, arc_count: int, params: Params) -> "SearchMemory":
+    def fresh(cls, arc_count: int, charged_count: int, params: Params) -> "SearchMemory":
         return cls(
             tabu=np.zeros(arc_count, dtype=np.int64),
-            ring=np.zeros((params.sLim, arc_count), dtype=bool),
-            sum_zero=np.zeros(arc_count, dtype=np.int64),
-            zero_now=np.zeros(arc_count, dtype=bool),
+            ring=np.zeros((params.sLim, charged_count), dtype=bool),
+            sum_zero=np.zeros(charged_count, dtype=np.int64),
+            zero_now=np.zeros(charged_count, dtype=bool),
         )
 
 
@@ -199,25 +195,20 @@ class RunResult:
     gbest_trace: list = field(default_factory=list)
 
 
-def build_penalties(pen: Penalties, fixed: np.ndarray, bigm: float, eps: float) -> np.ndarray:
-    """p_j = F_j / v_j with the conventions: F_j = 0 gives 0, v_j < eps gives
-    BigM, v_j > BigM gives 0. BigM is also the price ceiling: a denominator
-    small enough to push F_j / v_j past it marks the arc as closed, exactly
-    like v_j < eps. Stores and returns the penalty vector."""
-    v = pen.v
-    fc = fixed > 0
-    p = np.zeros(len(fixed), dtype=np.float64)
-    small = fc & (v < eps)
-    huge = fc & (v > bigm)
-    rest = fc & ~small & ~huge
-    p[small] = float(bigm)
-    p[rest] = np.minimum(fixed[rest] / v[rest], float(bigm))
-    pen.p = p
+def build_penalties(v: np.ndarray, fixed: np.ndarray, bigm: float, eps: float) -> np.ndarray:
+    """Penalties p_j = F_j / v_j over the charged arcs, given their typical
+    flows v and charges F > 0: v_j < eps gives BigM, v_j > BigM gives 0.
+    BigM is also the price ceiling: a denominator small enough to push
+    F_j / v_j past it marks the arc as closed, exactly like v_j < eps."""
+    with np.errstate(divide="ignore"):
+        p = np.where(v > bigm, 0.0, np.minimum(fixed / v, float(bigm)))
+    p[v < eps] = float(bigm)
     return p
 
 
 def v_update(pen: Penalties, xstar: np.ndarray, params: Params) -> Penalties:
-    """Blend the locally best flows into the typical-flow estimates v.
+    """Blend the locally best flows on the charged arcs, xstar, into the
+    typical-flow estimates v.
 
     Mean_j tracks a running mean over at most MaxSol recorded solutions; v_j
     becomes the Alpha-weighted mix of the incumbent flow, the previous v_j and
@@ -226,11 +217,10 @@ def v_update(pen: Penalties, xstar: np.ndarray, params: Params) -> Penalties:
     pen.num_sol += 1
     y = min(pen.num_sol, params.MaxSol)
     x = 1.0 / y
-    i = pen.fc_idx
-    xs = xstar[i].astype(np.float64)
-    pen.mean[i] = x * xs + (1.0 - x) * pen.mean[i]
-    umean = params.Beta * pen.mean[i] + (1.0 - params.Beta) * pen.u_o
-    pen.v[i] = params.Alpha1 * xs + params.Alpha2 * pen.v[i] + params.Alpha3 * umean
+    xs = xstar.astype(np.float64)
+    pen.mean = x * xs + (1.0 - x) * pen.mean
+    umean = params.Beta * pen.mean + (1.0 - params.Beta) * pen.u_o
+    pen.v = params.Alpha1 * xs + params.Alpha2 * pen.v + params.Alpha3 * umean
     return pen
 
 
@@ -241,14 +231,10 @@ class GhostImageSearch:
                  collect_trace: bool = False):
         self.problem = validate(problem)
         self.params = params if params is not None else Params()
-        m = problem.arc_count
-        self.m = m
-        self.c = problem.cost
-        self.c_float = self.c.astype(np.float64)
-        self.F = problem.fixed
-        self.U = problem.cap
-        self.fc_mask = self.F > 0
-        self.fc_idx = np.nonzero(self.fc_mask)[0]
+        self.m = problem.arc_count
+        self.c_float = problem.cost.astype(np.float64)
+        # the charged arcs: every ghost-image array is indexed like this
+        self.fc = np.flatnonzero(problem.fixed > 0)
         self.state: Optional[netcore.SimplexState] = None
         self.pen: Optional[Penalties] = None
         self.mem: Optional[SearchMemory] = None
@@ -266,7 +252,7 @@ class GhostImageSearch:
         best copies x, extends the trace and dates it (gbest_iter, best_pass)."""
         self.xstar = x
         self.xstar_val = value
-        v_update(self.pen, x, self.params)
+        v_update(self.pen, x[self.fc], self.params)
         if value < self.xg_val:
             self.xg = x.copy()
             self.xg_val = value
@@ -286,27 +272,33 @@ class GhostImageSearch:
 
     # -- the ghost image: LP(p) under the current penalties ------------------
 
+    def _working_costs(self, charged: np.ndarray) -> np.ndarray:
+        """The unit costs, plus `charged` (one entry per charged arc)."""
+        costs = self.c_float.copy()
+        costs[self.fc] += charged
+        return costs
+
     def ghost_resolve(self, force: bool = False) -> None:
         """Re-solve LP(p) from the current basis under penalties built from v.
 
         The flows raise the proxies u0, become the local best when they
         improve on it (always when forced) and give the current zero pattern.
         """
-        pen = self.pen
-        build_penalties(pen, self.F, self.bigm, self.params.epsilon)
-        reoptimize(self.state, self.c_float + pen.p)
+        fc = self.fc
+        p = build_penalties(self.pen.v, self.problem.fixed[fc], self.bigm, self.params.epsilon)
+        reoptimize(self.state, self._working_costs(p))
         x = self.state.real_flows()
         xo = fc_objective(self.problem, x)
-        pen.raise_u0(x)
+        np.maximum(self.pen.u0, x[fc], out=self.pen.u0)
         if force or xo < self.xstar_val:
             self._take_local_best(x, xo)
-        self.mem.zero_now = (x == 0) & self.fc_mask
+        self.mem.zero_now = x[fc] == 0
 
     # -- bootstrap: initial LP, first penalties, first test solution ---------
 
     def _bootstrap(self) -> None:
         prm = self.params
-        self.mem = mem = SearchMemory.fresh(self.m, prm)
+        self.mem = mem = SearchMemory.fresh(self.m, self.fc.size, prm)
         self.state = solve_lp(self.problem, self.c_float)
         self.bigm = self.state.bigm
         self._max_outside = prm.MaxOutsideIter if prm.MaxOutsideIter is not None else prm.MaxIter
@@ -317,16 +309,10 @@ class GhostImageSearch:
         self.xg = x.copy()
         self.trace = [self.xg_val]
 
-        i = self.fc_idx
-        self.pen = Penalties(
-            v=self.U.astype(np.float64),
-            p=np.zeros(self.m, dtype=np.float64),
-            mean=self.U.astype(np.float64),
-            u_o=int(x[i].max()) if i.size else 0,
-            u0=np.where(self.fc_mask, x, 0),
-            fc_idx=i,
-            num_sol=1,
-        )
+        cap = self.problem.cap[self.fc].astype(np.float64)
+        u0 = x[self.fc]
+        self.pen = Penalties(v=cap, mean=cap.copy(), u_o=int(u0.max(initial=0)), u0=u0,
+                             num_sol=1)
         self.ghost_resolve()
         mem.ring[0] = mem.zero_now
         mem.sum_zero = mem.zero_now.astype(np.int64)
@@ -336,12 +322,11 @@ class GhostImageSearch:
     def phase1_restrict(self) -> np.ndarray:
         """Pin the currently-zero charged arcs at zero cost-wise and re-optimize."""
         mem = self.mem
-        costs = self.c_float + np.where(mem.zero_now, float(self.bigm), 0.0)
-        reoptimize(self.state, costs)
+        reoptimize(self.state, self._working_costs(np.where(mem.zero_now, float(self.bigm), 0.0)))
         x = self.state.real_flows()
         self.xdd_val = fc_objective(self.problem, x)
         if mem.jiter <= self.params.MaxIter // 4:
-            self.pen.raise_u0(x)
+            np.maximum(self.pen.u0, x[self.fc], out=self.pen.u0)
         return x
 
     # -- phase II: inside loop -----------------------------------------------
@@ -352,7 +337,6 @@ class GhostImageSearch:
         mem.last_inside_improve = 0
         mem.descent = True
         mem.improve = False
-        mem.tenure = prm.DescentTenure
         mem.tabu[:] = 0
         mem.aspire = min(self.xdd_val, self.xstar_val)
         mem.inside_ok = True
@@ -388,17 +372,17 @@ class GhostImageSearch:
                 mem.inside_ok = False
 
     def pivot_jstar(self, ev: netcore.PivotEval) -> None:
-        """Apply the chosen pivot and refresh the per-arc max-flow proxies."""
+        """Apply the chosen pivot and raise the max-flow proxies u0."""
         netcore.pivot(self.state, ev)
         self.xdd_val += ev.objective_delta
-        self.pen.raise_u0(self.state.flow)
+        np.maximum(self.pen.u0, self.state.flow[self.fc], out=self.pen.u0)
 
     def descend_step(self, ev: netcore.PivotEval) -> None:
         """One move: descent while deltas improve, then a single tabu ascent phase.
 
         The first non-improving delta flips Descent off for the rest of the
-        inside loop; later improving moves restore the descent tenure without
-        re-entering the descent phase.
+        inside loop. The leaving arc stays tabu for the tenure of the move's
+        sign: DescentTenure after an improving move, else AscentTenure.
         """
         prm, mem = self.params, self.mem
         if mem.descent:
@@ -407,7 +391,6 @@ class GhostImageSearch:
                 mem.aspire = min(self.xstar_val, self.xdd_val)
             else:
                 mem.descent = False
-                mem.tenure = prm.AscentTenure
                 self._keep_if_better(mem.inside_iter - 1)
                 if not prm.DoTabu:
                     mem.inside_ok = False
@@ -415,22 +398,18 @@ class GhostImageSearch:
                 self.pivot_jstar(ev)
         else:
             self.pivot_jstar(ev)
-            if ev.objective_delta < 0:
-                mem.tenure = prm.DescentTenure
-                if self._keep_if_better(mem.inside_iter):
-                    mem.aspire = self.xstar_val
-            else:
-                mem.tenure = prm.AscentTenure
+            if ev.objective_delta < 0 and self._keep_if_better(mem.inside_iter):
+                mem.aspire = self.xstar_val
         if ev.leaving < self.m:  # artificial root arcs are never sweep candidates
-            mem.tabu[ev.leaving] = mem.inside_iter + mem.tenure
+            tenure = prm.DescentTenure if ev.objective_delta < 0 else prm.AscentTenure
+            mem.tabu[ev.leaving] = mem.inside_iter + tenure
 
     # -- penalty self-organization -------------------------------------------
 
     def mini_diversify(self) -> None:
         """Reflect v through the scalar flow proxy and restart the local best."""
         pen = self.pen
-        i = pen.fc_idx
-        pen.v[i] = np.maximum(pen.u_o - pen.v[i], 1.0)
+        pen.v = np.maximum(pen.u_o - pen.v, 1.0)
         # the next flows below this become the local best: any flow unless
         # BIGM_CAP binds, else only flows that beat the global best
         self.xstar_val = max(self.bigm, self.xg_val)
@@ -462,13 +441,11 @@ class GhostImageSearch:
         if mem.pass_num == prm.MaxPass:
             raise _StopSearch
         mem.pass_num += 1
-        i = pen.fc_idx
-        if i.size:
-            counts = mem.sum_zero[i]
-            mx = int(counts.max())
-            f = counts / mx if mx > 0 else np.zeros(i.size, dtype=np.float64)
-            v = np.floor(f * pen.u0[i])
-            pen.v[i] = np.where(2 * counts > mx, v, np.maximum(v, 1.0))
+        counts = mem.sum_zero
+        mx = int(counts.max(initial=0))
+        f = counts / mx if mx > 0 else np.zeros(counts.size, dtype=np.float64)
+        v = np.floor(f * pen.u0)
+        pen.v = np.where(2 * counts > mx, v, np.maximum(v, 1.0))
         self.ghost_resolve(force=True)
         mem.first = 0
         mem.ring[:] = False

@@ -274,10 +274,11 @@ def test_criterion_8_ring_and_diversification_properties():
     prm = gits.Params(sLim=5, LimMatch=10**6)
     eng = _scripted_engine(prm)
     mem = eng.mem
-    shadow = [mem.ring[0].copy()] + [np.zeros(eng.m, dtype=bool)] * (prm.sLim - 1)
+    k = eng.fc.size  # patterns are over the charged arcs
+    shadow = [mem.ring[0].copy()] + [np.zeros(k, dtype=bool)] * (prm.sLim - 1)
     for _ in range(40):
-        vec = np.zeros(eng.m, dtype=bool)
-        vec[rng.integers(0, 2, size=eng.m).astype(bool)] = True
+        vec = np.zeros(k, dtype=bool)
+        vec[rng.integers(0, 2, size=k).astype(bool)] = True
         mem.zero_now = vec
         matched = eng.dup_check()
         if not matched:

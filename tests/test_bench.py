@@ -359,6 +359,18 @@ def test_generate_into_a_path_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("cmd,flag", [("solve", "--output"), ("solve", "--solution"),
+                                      ("oracle", "--solution"), ("bench", "--output")])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, two_node_file,
+                                                       cmd, flag):
+    target = tmp_path / "missing" / "out"
+    source = str(tmp_path) if cmd == "bench" else str(two_node_file)
+    assert run_cli([cmd, source, flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
 # -- bench --------------------------------------------------------------------
 
 

@@ -165,40 +165,59 @@ def test_params_refuse_a_non_finite_value_for_every_float_field(field, value):
 # -- build_penalties --------------------------------------------------------------
 
 
-def make_pen(v, fixed):
-    fixed = np.asarray(fixed, dtype=np.int64)
-    fc = np.nonzero(fixed > 0)[0]
-    return gits.Penalties(
-        v=np.asarray(v, dtype=np.float64),
-        p=np.zeros(len(fixed)),
-        mean=np.asarray(v, dtype=np.float64).copy(),
-        u_o=0,
-        u0=np.zeros(len(fixed), dtype=np.int64),
-        fc_idx=fc,
-    )
+def make_pen(v):
+    """Penalties over len(v) charged arcs."""
+    v = np.asarray(v, dtype=np.float64)
+    return gits.Penalties(v=v, mean=v.copy(), u_o=0, u0=np.zeros(v.size, dtype=np.int64))
+
+
+def record_penalties(monkeypatch):
+    """Collect every penalty vector the search builds from now on."""
+    seen = []
+    build = gits.build_penalties
+
+    def recording(*args):
+        seen.append(build(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(gits, "build_penalties", recording)
+    return seen
 
 
 def test_build_penalties_direct_formula():
-    pen = make_pen([50.0], [100])
-    p = gits.build_penalties(pen, np.array([100]), bigm=10**6, eps=1e-6)
+    p = gits.build_penalties(np.array([50.0]), np.array([100]), bigm=10**6, eps=1e-6)
     assert p[0] == 2.0
 
 
 def test_build_penalties_small_denominator_gives_bigm():
-    pen = make_pen([1e-9], [100])
-    p = gits.build_penalties(pen, np.array([100]), bigm=10**6, eps=1e-6)
+    p = gits.build_penalties(np.array([1e-9]), np.array([100]), bigm=10**6, eps=1e-6)
     assert p[0] == 10**6
 
 
-def test_build_penalties_uncharged_arc_is_zero():
-    pen = make_pen([0.0, 50.0], [0, 0])
-    p = gits.build_penalties(pen, np.array([0, 0]), bigm=10**6, eps=1e-6)
-    assert list(p) == [0.0, 0.0]
+def test_build_penalties_uncharged_arc_is_zero(monkeypatch):
+    # penalties cover the charged arcs only: the ghost re-solve prices an
+    # uncharged arc at exactly its unit cost c_j
+    eng = bootstrapped_engine(quality_instance(5))
+    free = eng.problem.fixed == 0
+    assert free.any() and eng.fc.size
+    seen = []
+    solve = gits.reoptimize
+
+    def recording(state, costs):
+        seen.append(costs)
+        return solve(state, costs)
+
+    monkeypatch.setattr(gits, "reoptimize", recording)
+    penalties = record_penalties(monkeypatch)
+    eng.ghost_resolve()
+    (costs,), (p,) = seen, penalties
+    cost = eng.problem.cost.astype(np.float64)
+    assert np.array_equal(costs[free], cost[free])
+    assert np.array_equal(costs[eng.fc], cost[eng.fc] + p)
 
 
 def test_build_penalties_huge_denominator_gives_zero():
-    pen = make_pen([10**7], [100])
-    p = gits.build_penalties(pen, np.array([100]), bigm=10**6, eps=1e-6)
+    p = gits.build_penalties(np.array([10.0**7]), np.array([100]), bigm=10**6, eps=1e-6)
     assert p[0] == 0.0
 
 
@@ -206,7 +225,7 @@ def test_build_penalties_huge_denominator_gives_zero():
 
 
 def test_v_update_first_solution_overwrites_mean():
-    pen = make_pen([20.0], [100])
+    pen = make_pen([20.0])
     pen.mean[:] = 777.0
     gits.v_update(pen, np.array([10]), gits.Params())
     assert pen.num_sol == 1
@@ -216,7 +235,7 @@ def test_v_update_first_solution_overwrites_mean():
 def test_v_update_published_example():
     # Alpha (0.3, 0.45, 0.25), Beta 0.4, x*=10, v=20, U_o=50, first solution:
     # Mean = 10, UMean = 0.4*10 + 0.6*50 = 34, v = 3 + 9 + 8.5 = 20.5
-    pen = make_pen([20.0], [100])
+    pen = make_pen([20.0])
     pen.u_o = 50
     gits.v_update(pen, np.array([10]), gits.Params())
     assert pen.mean[0] == 10.0
@@ -224,7 +243,7 @@ def test_v_update_published_example():
 
 
 def test_v_update_fixed_point():
-    pen = make_pen([7.0, 7.0], [10, 10])
+    pen = make_pen([7.0, 7.0])
     pen.u_o = 7
     pen.mean[:] = 7.0
     for _ in range(5):
@@ -239,9 +258,9 @@ def test_mini_diversify_reflection_and_clamp():
     eng = bootstrapped_engine()
     pen = eng.pen
     pen.u_o = 100
-    pen.v[pen.fc_idx] = [30.0, 150.0]
+    pen.v[:] = [30.0, 150.0]
     eng.mini_diversify()
-    assert list(pen.v[pen.fc_idx]) == [70.0, 1.0]
+    assert list(pen.v) == [70.0, 1.0]
     assert eng.xstar_val == eng.bigm
 
 
@@ -249,10 +268,10 @@ def test_mini_diversify_is_involution_in_the_interior():
     eng = bootstrapped_engine()
     pen = eng.pen
     pen.u_o = 100
-    pen.v[pen.fc_idx] = [30.0, 60.0]
+    pen.v[:] = [30.0, 60.0]
     eng.mini_diversify()
     eng.mini_diversify()
-    assert list(pen.v[pen.fc_idx]) == [30.0, 60.0]
+    assert list(pen.v) == [30.0, 60.0]
 
 
 # -- dup_check ----------------------------------------------------------------------
@@ -276,14 +295,14 @@ def test_dup_check_ring_matches_shadow_model():
     prm = gits.Params(sLim=4, LimMatch=10**6)
     eng = bootstrapped_engine(params=prm)
     mem = eng.mem
-    m = eng.m
+    k = eng.fc.size  # patterns are over the charged arcs
     seed_row = mem.ring[0].copy()
-    shadow = [seed_row] + [np.zeros(m, dtype=bool)] * (prm.sLim - 1)
+    shadow = [seed_row] + [np.zeros(k, dtype=bool)] * (prm.sLim - 1)
     shadow_sum = mem.sum_zero.copy()
     rng = np.random.default_rng(3)
     for step in range(12):
-        bits = {int(b) for b in rng.choice(m, size=rng.integers(0, m + 1), replace=False)}
-        vec = pattern(m, bits)
+        bits = {int(b) for b in rng.choice(k, size=rng.integers(0, k + 1), replace=False)}
+        vec = pattern(k, bits)
         mem.zero_now = vec
         matched = eng.dup_check()
         model_match = any(np.array_equal(row, vec) for row in shadow)
@@ -319,7 +338,7 @@ def test_dup_check_recovery_counters():
     mem.zero_now = mem.ring[0].copy()
     eng.dup_check()
     assert mem.n_match == 1
-    mem.zero_now = pattern(eng.m, {1})
+    mem.zero_now = pattern(eng.fc.size, {1})
     eng.dup_check()  # a miss right after matches resets the match count
     assert mem.n_match == 0
 
@@ -327,30 +346,28 @@ def test_dup_check_recovery_counters():
 # -- diversify -----------------------------------------------------------------------
 
 
-def test_diversify_uniform_counts_give_proxy_bound():
+def test_diversify_uniform_counts_give_proxy_bound(monkeypatch):
     eng = bootstrapped_engine()
     pen, mem = eng.pen, eng.mem
-    i = pen.fc_idx
-    mem.sum_zero[:] = 0
-    mem.sum_zero[i] = 6
-    pen.u0[i] = [4, 9]
+    mem.sum_zero[:] = 6
+    pen.u0[:] = [4, 9]
+    penalties = record_penalties(monkeypatch)
     eng.diversify()
     # both arcs exceed Max/2, so v = floor(1.0 * U0) and p = F / U0
-    F = eng.F[i].astype(float)
-    assert np.allclose(pen.p[i], F / np.array([4.0, 9.0]))
+    F = eng.problem.fixed[eng.fc].astype(float)
+    assert np.allclose(penalties[-1], F / np.array([4.0, 9.0]))
     assert mem.pass_num == 1
 
 
-def test_diversify_zero_count_clamps_to_one():
+def test_diversify_zero_count_clamps_to_one(monkeypatch):
     eng = bootstrapped_engine()
     pen, mem = eng.pen, eng.mem
-    i = pen.fc_idx
-    mem.sum_zero[:] = 0
-    mem.sum_zero[i[0]] = 8
-    pen.u0[i] = [4, 9]
+    mem.sum_zero[:] = [8, 0]
+    pen.u0[:] = [4, 9]
+    penalties = record_penalties(monkeypatch)
     eng.diversify()
     # second arc count 0 <= Max/2: v = max(floor(0*U0), 1) = 1 so p = F
-    assert pen.p[i[1]] == pytest.approx(float(eng.F[i[1]]))
+    assert penalties[-1][1] == pytest.approx(float(eng.problem.fixed[eng.fc[1]]))
 
 
 def test_diversify_resets_ring_and_refresh_cadence():
@@ -389,11 +406,12 @@ def test_phase1_keeps_closed_arcs_at_zero_and_never_worsens():
         )
     )
     x_prime = eng.state.real_flows()
-    closed = eng.mem.zero_now.copy()
-    cx_before = int(np.dot(eng.c, x_prime))
+    closed = eng.fc[eng.mem.zero_now]
+    cost = eng.problem.cost
+    cx_before = int(np.dot(cost, x_prime))
     x_refined = eng.phase1_restrict()
     assert np.all(x_refined[closed] == 0)
-    assert int(np.dot(eng.c, x_refined)) <= cx_before
+    assert int(np.dot(cost, x_refined)) <= cx_before
 
 
 def test_phase1_idempotent_at_its_own_optimum():
@@ -414,15 +432,18 @@ def test_phase1_idempotent_at_its_own_optimum():
 
 
 class RecordingEngine(gits.GhostImageSearch):
+    """Logs (objective delta, tabu[leaving] - inside_iter) after every pivot."""
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.tenure_log = []
 
     def descend_step(self, ev):
+        pivots = self.state.pivot_count
         super().descend_step(ev)
-        if ev.leaving < self.m:
+        if ev.leaving < self.m and self.state.pivot_count > pivots:
             self.tenure_log.append(
-                (self.mem.inside_iter, self.mem.tenure, int(self.mem.tabu[ev.leaving]))
+                (int(ev.objective_delta), int(self.mem.tabu[ev.leaving]) - self.mem.inside_iter)
             )
 
 
@@ -446,18 +467,20 @@ def test_sweep_and_pivot_disagreement_raises(monkeypatch):
 
 
 def test_tabu_mark_matches_tenure_rule():
-    eng = RecordingEngine(quality_instance(1), gits.Params())
+    prm = gits.Params()
+    eng = RecordingEngine(quality_instance(1), prm)
     eng.run()
     assert eng.tenure_log, "no pivots recorded"
-    for inside_iter, tenure, tabu_val in eng.tenure_log:
-        assert tabu_val == inside_iter + tenure
+    for delta, tenure in eng.tenure_log:
+        assert tenure == (prm.DescentTenure if delta < 0 else prm.AscentTenure)
 
 
 def test_phase_tenure_overrides_reach_the_search():
     prm = gits.apply_overrides(gits.Params(), ["DescentTenure=3", "AscentTenure=7"])
     eng = RecordingEngine(quality_instance(1), prm)
     eng.run()
-    assert {tenure for _, tenure, _ in eng.tenure_log} == {3, 7}
+    assert {tenure for _, tenure in eng.tenure_log} == {3, 7}
+    assert all(tenure == (3 if delta < 0 else 7) for delta, tenure in eng.tenure_log)
 
 
 def test_descent_flips_at_most_once_per_inside_loop():

@@ -39,6 +39,12 @@ GOLDEN = [
     (probio.FctpSpec(5, 5, 500, fc_count=12, seed=9004), {"DoTabu": False},
      (2384, 298, 51, 161, 1, 0, 0),
      "081eb620680b33efb55e4669800b03359db90bae22080d3c5925489720f35b84"),
+    # distinct phase tenures and a best found in a late pass: 20 of 36 arcs
+    # charged, 13 mini-diversifications and 6 passes
+    (probio.FctpSpec(6, 6, total_supply=150, fc_range=(200, 800), fc_count=20, seed=23),
+     {"LimMatch": 1, "BadLuck": 2, "DescentTenure": 3, "AscentTenure": 7},
+     (1563, 2667, 51, 2101, 6, 2, 10),
+     "315f36ea886417b4b2db0023ca7be5d8865d217c0a7ac4309a8dc0ea8f5ca62b"),
 ]
 
 
