@@ -461,7 +461,9 @@ class GhostImageSearch:
         self._bootstrap()
         mem = self.mem
         try:
-            while mem.jiter <= self._max_outside:
+            # With no charged arc the plain-cost LP flows the bootstrap took
+            # are optimal, so there is nothing to search.
+            while self.fc.size and mem.jiter <= self._max_outside:
                 if prm.TimeLimit is not None and time.perf_counter() - t0 > prm.TimeLimit:
                     break
                 self.phase1_restrict()

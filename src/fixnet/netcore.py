@@ -16,6 +16,12 @@ strongly feasible, which rules out cycling; a pivot whose cycle passes
 through the root leaves by a capped root arc and can break that property,
 so the pivot limit of `optimize` is the backstop. Instance costs are
 integers, so all pivot-delta arithmetic is exact.
+
+Pricing reads a sign kept per arc, which each pivot updates on its entering
+and leaving arc, so it rebuilds no mask over the arcs. The parent, pred-arc
+and depth labels are Python lists, because the relabel, the ratio test and
+the sweep's walk read them one element at a time; the sweep's lifting route
+builds int64 arrays of them once per sweep.
 """
 
 from __future__ import annotations
@@ -321,10 +327,17 @@ class SimplexState:
         self.base_cost = np.concatenate([problem.cost, np.full(n, self.bigm, dtype=np.int64)])
         # NaN differs from every cost, so the first install labels the tree.
         self.work = np.full(self.E, np.nan)
+        # What pricing multiplies a reduced cost by: -1 at flow 0 (pushed up),
+        # +1 at capacity (pushed down), 0 on tree arcs and arcs of capacity 0.
+        self.price_sign = np.where(self.basic | (self.cap == 0), 0.0, -1.0)
+        # Element-wise copies for the relabel and the ratio test; `set_costs`
+        # refreshes the working costs' copy.
+        self.tail_list = self.tail.tolist()
+        self.head_list = self.head.tolist()
 
-        self.parent = np.full(n + 1, -1, dtype=np.int64)
-        self.pred_arc = np.full(n + 1, -1, dtype=np.int64)
-        self.depth = np.zeros(n + 1, dtype=np.int64)
+        self.parent = [-1] * (n + 1)
+        self.pred_arc = [-1] * (n + 1)
+        self.depth = [0] * (n + 1)
         self.pot_work = np.zeros(n + 1, dtype=np.float64)
         self.tree_adj = [[] for _ in range(n + 1)]
         for i in range(n):
@@ -369,6 +382,7 @@ class SimplexState:
         if root_cost is not None:
             stale |= (basic[m:] & (work[m:] != root_cost)).any()
             work[m:] = root_cost
+        self.work_list = work.tolist()
         if stale:
             self._rebuild()
 
@@ -387,20 +401,23 @@ class SimplexState:
 
         Each node takes its parent, pred arc, depth and working potential from
         its parent, so the labels equal a full walk from the root bit for bit
-        whenever u's own labels do. Returns the number of nodes labelled; more
-        than n means the tree arcs hold a cycle, round which the walk would
-        run for ever, and raises SimplexStalled.
+        whenever u's own labels do. A node's potential rides on the stack as
+        a Python float, one IEEE add or subtract from its parent's, and the
+        moved nodes' potentials are written in one scatter at the end.
+        Returns the number of nodes labelled; more than n means the tree arcs
+        hold a cycle, round which the walk would run for ever, and raises
+        SimplexStalled.
         """
-        parent, pred, depth, pw = self.parent, self.pred_arc, self.depth, self.pot_work
-        tail, head, work = self.tail, self.head, self.work
+        parent, pred, depth = self.parent, self.pred_arc, self.depth
+        tail, head, work = self.tail_list, self.head_list, self.work_list
         adj = self.tree_adj
         n = self.n
+        pwu = float(self.pot_work[u])
         stack = []
-        count = 0
+        nodes, pots = [], []
         while True:
             pe = pred[u]
             du = depth[u] + 1
-            pwu = pw[u]
             for a in arcs:
                 if a == pe:
                     continue
@@ -409,17 +426,15 @@ class SimplexState:
                 parent[v] = u
                 pred[v] = a
                 depth[v] = du
-                if t == v:
-                    pw[v] = work[a] + pwu
-                else:
-                    pw[v] = pwu - work[a]
-                stack.append(v)
+                stack.append((v, work[a] + pwu if t == v else pwu - work[a]))
             if not stack:
-                return count
-            u = stack.pop()
+                self.pot_work[nodes] = pots
+                return len(nodes)
+            u, pwu = stack.pop()
+            nodes.append(u)
+            pots.append(pwu)
             arcs = adj[u]
-            count += 1
-            if count > n:
+            if len(nodes) > n:
                 raise SimplexStalled("basis arcs form a cycle")
 
     def real_flows(self) -> np.ndarray:
@@ -430,18 +445,20 @@ class SimplexState:
         return bool(np.any(self.flow[self.m :] != 0))
 
     def close_artificial_arcs(self) -> None:
-        """Cap the drained artificial arcs at zero. Ratio tests through the
-        root change with their capacity, so this starts a new version."""
+        """Cap the drained artificial arcs at zero, which takes them out of
+        pricing. Ratio tests through the root change with their capacity, so
+        this starts a new version."""
         if self.has_artificial_flow():
             raise SimplexStalled("artificial arcs still carry flow")
         self.cap[self.m :] = 0
+        self.price_sign[self.m :] = 0.0
         self.version += 1
 
     def copy(self) -> "SimplexState":
         """Independent clone; the original is left untouched by pivots on the copy."""
         new = object.__new__(SimplexState)
         for name, value in vars(self).items():
-            setattr(new, name, value.copy() if isinstance(value, np.ndarray) else value)
+            setattr(new, name, value.copy() if isinstance(value, (np.ndarray, list)) else value)
         new.tree_adj = [list(adj) for adj in self.tree_adj]
         return new
 
@@ -456,24 +473,23 @@ class SimplexState:
 
     def _price(self) -> int:
         """Dantzig rule: most violating nonbasic arc, lowest index on ties.
-        An arc of capacity 0 has equal bounds, so it is optimal at any
-        reduced cost and never priced."""
-        rc = self.reduced_costs()
-        viol = np.where(self.flow == 0, -rc, rc)
-        viol[self.basic | (self.cap == 0)] = 0.0
-        j = int(np.argmax(viol))
+        The violation is the reduced cost times the kept `price_sign`, which
+        is 0 on tree arcs and on arcs of capacity 0: such an arc has equal
+        bounds, so it is optimal at any reduced cost and never priced. A
+        product by +-1 is exact, and a masked entry is +-0.0."""
+        viol = self.reduced_costs()
+        viol *= self.price_sign
+        j = int(viol.argmax())
         return j if viol[j] > PRICE_TOL else -1
 
     def prices(self, j: int, cost: float) -> bool:
         """`_price`'s test for one nonbasic arc j at working cost `cost`:
-        whether its violation at the current potentials exceeds PRICE_TOL.
-        The reduced cost is summed in `reduced_costs`' order, so the answer
-        is `_price`'s bit for bit."""
-        if self.cap[j] == 0:
-            return False
+        whether its reduced cost at the current potentials, times j's kept
+        `price_sign`, exceeds PRICE_TOL. The reduced cost is summed in
+        `reduced_costs`' order, so the answer is `_price`'s bit for bit."""
         pw = self.pot_work
-        rc = cost - pw[self.tail[j]] + pw[self.head[j]]
-        return (-rc if self.flow[j] == 0 else rc) > PRICE_TOL
+        rc = cost - pw[self.tail_list[j]] + pw[self.head_list[j]]
+        return rc * self.price_sign[j] > PRICE_TOL
 
     def _cycle(self, j: int):
         """Ratio test over the basis cycle of nonbasic arc j in its push direction.
@@ -485,25 +501,25 @@ class SimplexState:
         leaving arc is the last one in this order that blocks, which keeps
         the tree strongly feasible.
         """
-        tail, parent, pred, depth = self.tail, self.parent, self.pred_arc, self.depth
+        tail, parent, pred, depth = self.tail_list, self.parent, self.pred_arc, self.depth
         flow, cap = self.flow, self.cap
         dirn = 1 if flow[j] == 0 else -1
-        na, nb = int(tail[j]), int(self.head[j])
+        na, nb = tail[j], self.head_list[j]
         if dirn < 0:
             na, nb = nb, na
         path_a = []  # cycle flow runs parent -> node while climbing
         path_b = []  # cycle flow runs node -> parent while climbing
         while na != nb:
             if depth[na] >= depth[nb]:
-                e = int(pred[na])
+                e = pred[na]
                 sign = -1 if tail[e] == na else 1
                 path_a.append((e, sign))
-                na = int(parent[na])
+                na = parent[na]
             else:
-                e = int(pred[nb])
+                e = pred[nb]
                 sign = 1 if tail[e] == nb else -1
                 path_b.append((e, sign))
-                nb = int(parent[nb])
+                nb = parent[nb]
         path_a.reverse()
         path_a.append((j, dirn))  # j sits at one of its bounds: residual cap[j]
         cycle = path_a + path_b
@@ -523,19 +539,22 @@ class SimplexState:
         is relabelled. Flows change on the cycle, which in the new basis is k
         plus the tree path between k's endpoints (k is j on a bound flip).
         A leaving arc off the cycle or not at a bound after the push is
-        refused before anything changes.
+        refused before anything changes. The leaving arc, now at a bound,
+        takes that bound's pricing sign, and an entering j leaves pricing.
         """
         flow = self.flow
+        tail, head, adj = self.tail_list, self.head_list, self.tree_adj
         moved = -1
         arcs = [e for e, _ in cycle]
         if k not in arcs:
             raise SimplexStalled(f"leaving arc {k} is not on the cycle of arc {j}")
         at_k, at_j = arcs.index(k), arcs.index(j)
         fk = int(flow[k]) + cycle[at_k][1] * delta
-        if fk != 0 and fk != self.cap[k]:
+        capk = int(self.cap[k])
+        if fk != 0 and fk != capk:
             raise SimplexStalled(f"leaving arc {k} not at a bound (flow {fk})")
         if k != j:
-            na, nb = int(self.tail[j]), int(self.head[j])
+            na, nb = tail[j], head[j]
             if cycle[at_j][1] < 0:
                 na, nb = nb, na
             # p: the endpoint of j still joined to the root once k is dropped
@@ -544,13 +563,15 @@ class SimplexState:
         if delta:
             for e, s in cycle:
                 flow[e] += s * delta
+        self.price_sign[k] = 0.0 if capk == 0 else -1.0 if fk == 0 else 1.0
         if k != j:
+            self.price_sign[j] = 0.0
             self.basic[j] = True
             self.basic[k] = False
-            self.tree_adj[int(self.tail[j])].append(j)
-            self.tree_adj[int(self.head[j])].append(j)
-            self.tree_adj[int(self.tail[k])].remove(k)
-            self.tree_adj[int(self.head[k])].remove(k)
+            adj[tail[j]].append(j)
+            adj[head[j]].append(j)
+            adj[tail[k]].remove(k)
+            adj[head[k]].remove(k)
             self._hang(p, (j,))
         self.version += 1
         self.pivot_count += 1
@@ -573,7 +594,8 @@ class SimplexState:
     # -- diagnostics ---------------------------------------------------------
 
     def assert_valid_basis(self) -> None:
-        """Raise when any structural, flow or tree-label invariant is broken (test hook)."""
+        """Raise when any structural, flow, tree-label or pricing-sign
+        invariant is broken (test hook)."""
         n, m = self.n, self.m
         if int(np.count_nonzero(self.basic)) != n:
             raise SimplexStalled("tree arc count is not node count")
@@ -588,7 +610,8 @@ class SimplexState:
         expect[:n] = self.problem.supply
         if np.any(net != expect):
             raise SimplexStalled("flow conservation violated")
-        root, parent, pred, depth = self.root, self.parent, self.pred_arc, self.depth
+        root = self.root
+        parent, pred, depth = _label_arrays(self)
         if (parent[root], pred[root], depth[root], self.pot_work[root]) != (-1, -1, 0, 0.0):
             raise SimplexStalled("root labels are not the root's")
         u, e = parent[:n], pred[:n]
@@ -608,6 +631,10 @@ class SimplexState:
         ulps = 4 * np.finfo(np.float64).eps * (np.abs(w) + np.abs(pt) + np.abs(ph))
         if np.any(np.abs(w - pt + ph) > ulps):
             raise SimplexStalled("tree arc with nonzero reduced cost")
+        sign = np.where(self.flow == 0, -1.0, 1.0)
+        sign[self.basic | (self.cap == 0)] = 0.0
+        if not np.array_equal(self.price_sign, sign):
+            raise SimplexStalled("pricing sign does not match the basis and bounds")
 
 
 def solve_lp(problem: NetworkProblem, costs) -> SimplexState:
@@ -715,7 +742,7 @@ def evaluate_all_entering(state: SimplexState):
     """
     cand = np.flatnonzero(~state.basic[: state.m])
     if state.sweep_version != state.version:
-        depth = int(state.depth.max())
+        depth = max(state.depth)
         redo, jump = cand, None
         last = state.last_pivot
         if (cand.size * depth > FULL_WALK_LIMIT and last is not None
@@ -732,30 +759,49 @@ def evaluate_all_entering(state: SimplexState):
     return cand, state.sweep_delta[cand], state.sweep_xoj[cand], np.ones(cand.size, dtype=bool)
 
 
-def _jump_tables(state: SimplexState) -> list:
-    """Level l maps each node to its 2^l-th ancestor, the root being its own,
-    for every level below the bit length of the tree depth. The nodes are
-    listed twice, once per cycle side: side a at [0, n] (the node indices
+def _label_arrays(state: SimplexState) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 copies of the parent, pred arc and depth labels, for one sweep
+    or one check; the state keeps the labels as lists only."""
+    return tuple(np.array(labels, dtype=np.int64)
+                 for labels in (state.parent, state.pred_arc, state.depth))
+
+
+class JumpTables(NamedTuple):
+    """What the lifting route reads of the tree, built once per sweep that
+    narrows or lifts: the labels as arrays, and per level l a map of each
+    node to its 2^l-th ancestor, the root being its own, for every level
+    below the bit length of the tree depth. The nodes are listed twice in
+    each level, once per cycle side: side a at [0, n] (the node indices
     themselves) and side b at [n + 1, 2n + 1], each mapped into its own half."""
+
+    parent: np.ndarray
+    pred: np.ndarray
+    depth: np.ndarray
+    levels: list
+
+
+def _jump_tables(state: SimplexState) -> JumpTables:
+    """The jump tables of the state's current tree."""
+    parent, pred, depth = _label_arrays(state)
     n1 = state.n + 1
-    a = np.concatenate([state.parent, state.parent + n1])
+    a = np.concatenate([parent, parent + n1])
     a[n1 - 1 :: n1] = (n1 - 1, 2 * n1 - 1)  # each root is its own ancestor
-    jump = [a]
-    for _ in range(1, max(1, int(state.depth.max()).bit_length())):
-        a = jump[-1]
-        jump.append(a[a])
-    return jump
+    levels = [a]
+    for _ in range(1, max(1, int(depth.max()).bit_length())):
+        a = levels[-1]
+        levels.append(a[a])
+    return JumpTables(parent, pred, depth, levels)
 
 
-def _root_path_sums(jump: list, values: np.ndarray) -> np.ndarray:
+def _root_path_sums(jump: JumpTables, values: np.ndarray) -> np.ndarray:
     """Add to each node's value, in place, those of all its ancestors by
     pointer jumping over side a of `jump`; the root's value must be 0."""
-    for a in jump:
+    for a in jump.levels:
         values += values[a[: values.size]]
     return values
 
 
-def _touched(state: SimplexState, jump: list, cand: np.ndarray) -> np.ndarray:
+def _touched(state: SimplexState, jump: JumpTables, cand: np.ndarray) -> np.ndarray:
     """The candidates to answer again one pivot past the kept answers.
 
     A candidate's answer reads its tree path and the costs and flows on it.
@@ -794,7 +840,7 @@ def _touched(state: SimplexState, jump: list, cand: np.ndarray) -> np.ndarray:
     if delta:
         i = arcs.index(k)
         path = np.array(arcs[:i] + arcs[i + 1 :], dtype=np.int64)
-        child = np.where(state.pred_arc[tail[path]] == path, tail[path], head[path])
+        child = np.where(jump.pred[tail[path]] == path, tail[path], head[path])
         count[child[:i]] = 1
         count[child[i:]] = i + 1
     elif moved >= 0:
@@ -807,22 +853,22 @@ def _touched(state: SimplexState, jump: list, cand: np.ndarray) -> np.ndarray:
     return redo[again | (redo == k)]
 
 
-def _apex(jump: list, depth: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _apex(jump: JumpTables, ends: np.ndarray) -> np.ndarray:
     """Common ancestor of each column's two nodes: lift the deeper by the
     depth difference, jump both to just below their common ancestor, then
     take the last step."""
-    lift = depth[ends]
+    lift = jump.depth[ends]
     lift -= np.minimum(lift[0], lift[1])
     x = ends
-    for level, a in enumerate(jump):
+    for level, a in enumerate(jump.levels):
         x = np.where((lift & (1 << level)) != 0, a[x], x)
-    for a in reversed(jump):
+    for a in reversed(jump.levels):
         ax = a[x]
         x = np.where(ax[0] != ax[1], ax, x)
-    return np.where(x[0] != x[1], jump[0][x[0]], x[0])
+    return np.where(x[0] != x[1], jump.levels[0][x[0]], x[0])
 
 
-def _answer(state: SimplexState, jump: list, cand: np.ndarray):
+def _answer(state: SimplexState, jump: JumpTables, cand: np.ndarray):
     """(delta, objective delta, witness) of the given nonbasic arcs by
     binary lifting, with the same cycle sides, values and witness as
     `_walk`.
@@ -839,8 +885,8 @@ def _answer(state: SimplexState, jump: list, cand: np.ndarray):
     """
     tail, head, flow, fixed, basec = (state.tail, state.head, state.flow,
                                       state.fixed, state.base_cost)
-    e = state.pred_arc  # the root's entries are garbage until reset in _level0
-    up = tail[e] != state.parent  # side a decreases the arc, side b increases it
+    e = jump.pred  # the root's entries are garbage until reset in _level0
+    up = tail[e] != jump.parent  # side a decreases the arc, side b increases it
     lower = flow[cand] == 0
     tc, hc = tail[cand], head[cand]
     ends = np.where(lower, (tc, hc), (hc, tc))  # where the flow leaves, re-enters
@@ -896,8 +942,9 @@ def _walk(state: SimplexState, cand: np.ndarray):
     Python integer arithmetic, and no table is built over the tree.
     """
     n = state.n
-    at = np.concatenate((state.pred_arc[:n], cand))  # each node's pred arc, then cand
-    parent, depth, pred = state.parent.tolist(), state.depth.tolist(), at.tolist()
+    parent, depth = state.parent, state.depth
+    pred = state.pred_arc[:n] + cand.tolist()  # each node's pred arc, then cand
+    at = np.array(pred, dtype=np.int64)
     cols = [a[at].tolist() for a in (state.flow, state.cap, state.fixed, state.base_cost,
                                      state.tail, state.head)]
     side = []  # per node: (values on side a, values on side b)
@@ -936,7 +983,7 @@ def _walk(state: SimplexState, cand: np.ndarray):
     return np.array(out, dtype=np.int64).reshape(-1, 3).T
 
 
-def _lift(state: SimplexState, jump: list, ends: np.ndarray, r0: np.ndarray,
+def _lift(state: SimplexState, jump: JumpTables, ends: np.ndarray, r0: np.ndarray,
           d0: np.ndarray, level0):
     """(delta, released charges, gain sum, witness node) per candidate by
     binary lifting.
@@ -951,22 +998,22 @@ def _lift(state: SimplexState, jump: list, ends: np.ndarray, r0: np.ndarray,
     that does not move at a level reads its root. The nearest zero-residual
     node at or above each node comes from pointer jumping.
     """
-    depth = state.depth
+    depth = jump.depth
     n1 = state.n + 1
     side = np.array([[0], [n1]])  # where each side's half starts
     roots = side + state.root
-    apex = _apex(jump, depth, ends)
+    apex = _apex(jump, ends)
     steps = depth[ends] - depth[apex]
     levels = int(steps.max()).bit_length()
 
     res, rel, gain = ([t] for t in level0)
-    for a in jump[: levels - 1]:
+    for a in jump.levels[: levels - 1]:
         r, d = _meet(res[-1], rel[-1], res[-1][a], rel[-1][a])
         res.append(r)
         rel.append(d)
         gain.append(gain[-1] + gain[-1][a])
     # nearest zero-residual node at or above each node, within 2^levels - 1 steps
-    nearest = np.where(res[0] == 0, np.arange(2 * n1), jump[0])
+    nearest = np.where(res[0] == 0, np.arange(2 * n1), jump.levels[0])
     for _ in range(levels):
         nearest = nearest[nearest]
 
@@ -976,7 +1023,7 @@ def _lift(state: SimplexState, jump: list, ends: np.ndarray, r0: np.ndarray,
     g = np.zeros((2, k), dtype=np.int64)
     ends = ends + side  # positions in the flattened tables
     cur = ends
-    for level, a in enumerate(jump[:levels]):
+    for level, a in enumerate(jump.levels[:levels]):
         move = (steps & (1 << level)) != 0
         idx = np.where(move, cur, roots)
         r, d = _meet(r, d, res[level][idx], rel[level][idx])

@@ -567,10 +567,27 @@ def test_run_diagonal_instance_finds_ten():
     assert nc.fc_objective(two_by_two_diagonal(), res.best_flows) == 10
 
 
+def test_run_with_no_charged_arc_returns_the_bootstrap_lp_flows():
+    # every zero pattern over no charged arc is empty and the plain-cost LP
+    # flows are optimal, so the run ends after the bootstrap
+    p = probio.generate_fctp(probio.FctpSpec(5, 5, 250, fc_count=0, seed=8))
+    assert not p.fixed.any()
+    lp = nc.solve_lp(p, p.cost)
+    eng = gits.GhostImageSearch(p)
+    eng._bootstrap()
+    res = gits.run(p)
+    assert res.best_value == nc.fc_objective(p, lp.real_flows())
+    assert np.array_equal(res.best_flows, lp.real_flows())
+    assert res.total_pivots == eng.state.pivot_count
+    assert (res.outside_iters, res.inside_iters, res.passes_used) == (0, 0, 0)
+
+
 def test_run_out_of_luck_one_stops_after_one_outside_iteration():
-    # with no charges the first inside loop cannot improve on the LP optimum
-    res = gits.run(zero_fc_instance(9), gits.Params(OutOfLuck=1))
-    assert res.outside_iters == 1
+    # on this instance the first inside loop cannot improve on the ghost
+    # image's flows, and a default run goes on to the outer budget
+    p = probio.generate_fctp(probio.FctpSpec(3, 3, 60, seed=1))
+    assert gits.run(p, gits.Params(OutOfLuck=1)).outside_iters == 1
+    assert gits.run(p).outside_iters > 1
 
 
 def exits_instance():

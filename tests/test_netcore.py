@@ -486,7 +486,7 @@ def test_sweep_matches_cycle_walk_on_deep_trees(monkeypatch, depth):
 def check_sweeps_on_rail_ladder(depth):
     p = rail_ladder(depth)
     state = nc.solve_lp(p, p.cost)
-    assert int(state.depth.max()) == depth
+    assert int(np.asarray(state.depth).max()) == depth
     assert_sweep_matches_cycles(state, p)
     pivots = 0
     for _ in range(5):
@@ -517,7 +517,7 @@ def test_sweep_on_fresh_all_artificial_state(monkeypatch):
         (4, 1, 1, 5, 9), (3, 2, 1, 5, 9), (0, 1, 1, 5, 9),
     ])
     state = nc.SimplexState(p, p.cost)
-    assert int(state.depth.max()) == 1
+    assert int(np.asarray(state.depth).max()) == 1
     for path in SWEEP_PATHS:
         state.sweep_version = -1  # drop the kept answers
         with sweep_path(monkeypatch, path):
@@ -657,6 +657,16 @@ def test_pivot_objective_delta_applies_exactly():
 LABELS = ("parent", "pred_arc", "depth", "pot_work")
 
 
+def scrambled_rebuild(state):
+    """A copy of `state` whose labels were set to -7 and then rebuilt in full."""
+    full = state.copy()
+    for name in LABELS:
+        label = getattr(full, name)
+        label[:] = [-7] * len(label)
+    full._rebuild()
+    return full
+
+
 @pytest.fixture
 def checked_exchanges(monkeypatch):
     """After every pivot, the kept labels must equal a full relabel of a copy
@@ -670,10 +680,7 @@ def checked_exchanges(monkeypatch):
         if k != j:
             arcs = [e for e, _ in cycle]
             sides["a" if arcs.index(k) < arcs.index(j) else "b"] += 1
-        full = state.copy()
-        for name in LABELS:
-            getattr(full, name)[:] = -7
-        full._rebuild()
+        full = scrambled_rebuild(state)
         for name in LABELS:
             assert np.array_equal(getattr(state, name), getattr(full, name)), name
         state.assert_valid_basis()
@@ -703,7 +710,7 @@ def test_cold_solve_keeps_full_relabel_labels(checked_exchanges, make):
 def test_cold_solve_of_deep_trees_keeps_full_relabel_labels(checked_exchanges, depth):
     p = rail_ladder(depth)
     state = nc.solve_lp(p, p.cost)
-    assert int(state.depth.max()) == depth
+    assert int(np.asarray(state.depth).max()) == depth
     assert checked_exchanges["a"] + checked_exchanges["b"] >= depth
 
 
@@ -799,11 +806,16 @@ def test_copy_shares_no_array_or_adjacency_list():
     state = nc.solve_lp(p, p.cost)
     clone = state.copy()
     arrays = [name for name, value in vars(state).items() if isinstance(value, np.ndarray)]
-    assert set(LABELS + ("flow", "basic", "work")) <= set(arrays)
+    assert {"pot_work", "price_sign", "flow", "basic", "work"} <= set(arrays)
     for name in arrays:
         assert not np.shares_memory(getattr(clone, name), getattr(state, name)), name
+    lists = [name for name, value in vars(state).items() if isinstance(value, list)]
+    assert {"parent", "pred_arc", "depth", "tree_adj"} <= set(lists)
+    for name in lists:
+        assert getattr(clone, name) is not getattr(state, name), name
     assert not any(a is b for a, b in zip(clone.tree_adj, state.tree_adj))
     snapshot = {name: getattr(state, name).copy() for name in arrays}
+    labels = {name: list(getattr(state, name)) for name in ("parent", "pred_arc", "depth")}
     adjacency = [list(adj) for adj in state.tree_adj]
     nc.reoptimize(clone, p.cost + p.fixed / 7.0)
     for _ in range(10):
@@ -811,8 +823,11 @@ def test_copy_shares_no_array_or_adjacency_list():
         j = int(cand[np.argmin(np.where(ok, xoj, np.iinfo(np.int64).max))])
         nc.pivot(clone, nc.evaluate_fc_entering(clone, j))
     assert not np.array_equal(clone.flow, state.flow)
+    assert any(getattr(clone, name) != labels[name] for name in labels)
     for name in arrays:
         assert np.array_equal(getattr(state, name), snapshot[name]), name
+    for name in labels:
+        assert getattr(state, name) == labels[name], name
     assert state.tree_adj == adjacency
     state.assert_valid_basis()
 
@@ -987,10 +1002,7 @@ def test_cost_changes_keep_labels_equal_to_a_rebuild(monkeypatch, make):
         root_cost = float(state.bigm) if trial % 4 == 0 else None
         state.set_costs(costs, root_cost)
         assert len(rebuilds) - before == on_tree
-        full = state.copy()
-        for name in LABELS:
-            getattr(full, name)[:] = -7
-        full._rebuild()
+        full = scrambled_rebuild(state)
         for name in LABELS:
             assert np.array_equal(getattr(state, name), getattr(full, name)), name
         state.assert_valid_basis()
@@ -1002,6 +1014,85 @@ def zero_cap_netgen_instance():
     return probio.generate_netgen_fc(probio.NetgenFcSpec(
         nodes=40, source_count=6, sink_count=8, arc_count=240, total_supply=900,
         cap_range=(0, 90), seed=0))
+
+
+def two_mask_violation(state):
+    """Each arc's pricing violation by the formula `_price` read before it
+    kept a sign per arc: -rc at flow 0 and rc otherwise, zeroed on tree arcs
+    and on arcs of capacity 0."""
+    rc = state.reduced_costs()
+    viol = np.where(state.flow == 0, -rc, rc)
+    viol[state.basic | (state.cap == 0)] = 0.0
+    return viol
+
+
+def implied_price_sign(state):
+    """The pricing sign that the basis, flows and capacities imply."""
+    return np.where(state.basic | (state.cap == 0), 0.0,
+                    np.where(state.flow == 0, -1.0, 1.0))
+
+
+@pytest.fixture
+def checked_signs(monkeypatch):
+    """After every exchange, bound flip and cap of the root arcs, the kept
+    `price_sign` must equal the one the state implies, and every `_price`
+    must return the arc the two-mask formula picks. Returns counts of the
+    events checked."""
+    seen = collections.Counter()
+    apply, price, close = (nc.SimplexState._apply, nc.SimplexState._price,
+                           nc.SimplexState.close_artificial_arcs)
+
+    def checked_apply(state, j, k, delta, cycle):
+        apply(state, j, k, delta, cycle)
+        seen["flip" if k == j else "exchange"] += 1
+        assert np.array_equal(state.price_sign, implied_price_sign(state))
+
+    def checked_price(state):
+        viol = two_mask_violation(state)
+        want = int(np.argmax(viol))
+        got = price(state)
+        assert got == (want if viol[want] > nc.PRICE_TOL else -1)
+        seen["priced"] += 1
+        return got
+
+    def checked_close(state):
+        close(state)
+        seen["closed"] += 1
+        assert np.array_equal(state.price_sign, implied_price_sign(state))
+
+    monkeypatch.setattr(nc.SimplexState, "_apply", checked_apply)
+    monkeypatch.setattr(nc.SimplexState, "_price", checked_price)
+    monkeypatch.setattr(nc.SimplexState, "close_artificial_arcs", checked_close)
+    return seen
+
+
+def test_kept_price_sign_matches_the_state_and_prices_as_two_masks(checked_signs):
+    # solve_lp by big-M alone, and by phase 1 then the cap
+    routes = collections.Counter()
+    for p in [zero_or_costly_transport(seed) for seed in range(12)] + [fctp_instance()]:
+        before = checked_signs["closed"]
+        try:
+            nc.solve_lp(p, p.cost)
+        except nc.Infeasible:
+            continue
+        routes["phase 1" if checked_signs["closed"] - before == 2 else "big-M"] += 1
+    assert routes["phase 1"] > 0 and routes["big-M"] > 0
+    # warm starts under random penalties, with arcs of capacity 0 besides the root arcs
+    p = zero_cap_netgen_instance()
+    state = nc.solve_lp(p, p.cost)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        nc.reoptimize(state, p.cost + p.fixed / rng.uniform(1.0, 50.0, size=p.arc_count))
+    # pivots on a copy move its signs and leave the original's
+    kept = state.price_sign.copy()
+    clone = state.copy()
+    nc.reoptimize(clone, p.cost.astype(np.float64))
+    assert not np.array_equal(clone.price_sign, kept)
+    assert np.array_equal(state.price_sign, kept)
+    assert np.array_equal(clone.price_sign, implied_price_sign(clone))
+    gits.run(fctp_instance())
+    assert checked_signs["flip"] > 0 and checked_signs["exchange"] > 1000
+    assert checked_signs["priced"] > 1000
 
 
 @pytest.mark.parametrize("make", [fctp_instance, netgen_instance, zero_cap_netgen_instance],
@@ -1016,9 +1107,7 @@ def test_scalar_pricing_agrees_with_price_on_every_nonbasic_arc(make):
     priced = 0
     for _ in range(20):
         state.set_costs(p.cost + p.fixed / rng.uniform(1.0, 90.0, size=p.arc_count))
-        rc = state.reduced_costs()
-        viol = np.where(state.flow == 0, -rc, rc)
-        viol[state.basic | (state.cap == 0)] = 0.0
+        viol = two_mask_violation(state)
         nonbasic = np.flatnonzero(~state.basic)
         got = np.array([state.prices(j, state.work[j]) for j in nonbasic])
         assert np.array_equal(got, viol[nonbasic] > nc.PRICE_TOL)
@@ -1342,7 +1431,7 @@ def weak_tree_arcs(state):
     Orlin: no positive flow can pass them toward the root, because an arc
     pointing up is at its capacity or one pointing down is at 0. A capped
     root arc always fails it."""
-    e = state.pred_arc[: state.n]
+    e = np.asarray(state.pred_arc[: state.n])
     up = state.tail[e] == np.arange(state.n)
     return e[np.where(up, state.flow[e] == state.cap[e], state.flow[e] == 0)]
 
