@@ -8,11 +8,15 @@ Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace X` once in each checkout, as a subprocess whose working directory is
 that checkout; the side that runs first alternates from pair to pair. The
 script prints, per end-to-end metric, each side's median and quartiles, how
-many pairs the change won (ties count for neither side) and whether the
-change's median stays inside the metric's bound from the change checkout's
-BENCHMARK.json. With `--claim METRIC` it also prints whether that metric
-meets the gain rule: the change wins at least nine tenths of the pairs and
-the medians differ by more than the parent's interquartile spread. Traced
+many pairs the change won (ties count for neither side) and a status against
+the metric's bound from the change checkout's BENCHMARK.json: `ok` when the
+change's median stays inside it, `EXCEEDED` when not, and `unresolved` when
+the parent's interquartile spread, as a share of the parent's median, is
+wider than the bound and not every change run beats every parent run: the
+runs then spread too widely to tell. With `--claim METRIC` it also prints
+whether that metric meets the gain rule: the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent's
+interquartile spread. Traced
 runs (`--trace 1`) are compared by trajectory fingerprint instead, and the
 medians of a few per-layer metrics are printed: the solver's layers and the
 oracle's own time, re-solve time, pivots and objective evaluations.
@@ -73,16 +77,21 @@ def summarize(runs, bounds, claim):
         base = abs(med["parent"])
         worse = (med["change"] - med["parent"]) if lower else (med["parent"] - med["change"])
         within = worse <= spec["bound"] * base
+        spread = q["parent"][1] - q["parent"][0]
+        dominates = (max(side["change"]) < min(side["parent"]) if lower
+                     else min(side["change"]) > max(side["parent"]))
+        status = "ok" if within else "EXCEEDED"
+        if spread > spec["bound"] * base and not dominates:
+            status = "unresolved"
         row = {"parent_median": med["parent"], "change_median": med["change"],
                "parent_quartiles": q["parent"], "change_quartiles": q["change"],
                "wins": wins, "pairs": len(runs), "bound": spec["bound"],
-               "within_bound": within}
+               "within_bound": within, "status": status}
         text = (f"{name:14s} parent {med['parent']:.6g} [{q['parent'][0]:.6g}, "
                 f"{q['parent'][1]:.6g}]  change {med['change']:.6g} [{q['change'][0]:.6g}, "
                 f"{q['change'][1]:.6g}]  wins {wins}/{len(runs)}  "
-                f"bound {spec['bound']:.0%} {'ok' if within else 'EXCEEDED'}")
+                f"bound {spec['bound']:.0%} {status}")
         if name == claim:
-            spread = q["parent"][1] - q["parent"][0]
             met = wins >= 0.9 * len(runs) and -worse > spread
             row.update(claim_met=met, parent_iqr=spread)
             text += f"  claim {'met' if met else 'NOT met'} (parent IQR {spread:.6g})"

@@ -274,17 +274,15 @@ def _bench_one(path_str: str, params: gits.Params, use_oracle: bool, fc_limit: i
         return {"instance": name, "nodes": problem.node_count, "arcs": problem.arc_count}, \
             f"{name}: infeasible ({exc})"
     if use_oracle:
-        fc_arcs = int((problem.fixed > 0).sum())
-        if fc_arcs <= fc_limit:
-            try:
-                opt = oracle.brute_force_opt(problem, max_fc_arcs=fc_limit)
-            except oracle.TooLarge as exc:
-                return rec, f"{name}: {exc}"
-            rec["oracle_z"] = opt.optimum
-            rec["z_ratio"] = (
-                result.best_value / opt.optimum if opt.optimum
-                else (1.0 if result.best_value == 0 else float("inf"))
-            )
+        try:
+            opt = oracle.brute_force_opt(problem, max_fc_arcs=fc_limit)
+        except oracle.TooLarge as exc:
+            return rec, f"{name}: {exc}"
+        rec["oracle_z"] = opt.optimum
+        rec["z_ratio"] = (
+            result.best_value / opt.optimum if opt.optimum
+            else (1.0 if result.best_value == 0 else float("inf"))
+        )
     return rec, None
 
 

@@ -482,15 +482,6 @@ class SimplexState:
         j = int(viol.argmax())
         return j if viol[j] > PRICE_TOL else -1
 
-    def prices(self, j: int, cost: float) -> bool:
-        """`_price`'s test for one nonbasic arc j at working cost `cost`:
-        whether its reduced cost at the current potentials, times j's kept
-        `price_sign`, exceeds PRICE_TOL. The reduced cost is summed in
-        `reduced_costs`' order, so the answer is `_price`'s bit for bit."""
-        pw = self.pot_work
-        rc = cost - pw[self.tail_list[j]] + pw[self.head_list[j]]
-        return rc * self.price_sign[j] > PRICE_TOL
-
     def _cycle(self, j: int):
         """Ratio test over the basis cycle of nonbasic arc j in its push direction.
 

@@ -1,26 +1,24 @@
 """Exact reference optimizer for desk-scale instances and a solver-independent
 solution checker.
 
-The optimizer enumerates every open/closed pattern over the charged arcs and
-prices each pattern with an LP. Gray-code order means consecutive patterns
-differ in one arc, so every LP after the first is a one-toggle warm start.
-The arcs the plain-cost LP is least likely to use, those of highest reduced
-cost there, take the bits that toggle most often, so most toggles change the
-cost of an arc the current LP leaves empty: the tree labels are kept and few
-pivots follow. A toggle is re-solved only when it moves a tree arc or when
-exact pricing would let the toggled arc enter; otherwise the basis is still
-optimal and the pattern keeps the previous pattern's flows. Each distinct
-flow vector is checked and charged once per call.
+The optimizer is depth-first LP-based branch and bound (Land and Doig,
+Econometrica 28, 1960) over the charged arcs, each node priced by the
+network simplex warm-started from the previous node's basis. A closed arc
+is priced at BigM, so every node LP is feasible whenever the instance is;
+a guard on BigM makes that sound, and pruning keeps a margin for the float
+LP bound (see `brute_force_opt`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional
 
 import numpy as np
 
 from .netcore import (
+    PRICE_TOL,
     FixnetError,
     NetworkProblem,
     check_flows,
@@ -30,6 +28,10 @@ from .netcore import (
     validate,
 )
 
+# A node's mark on a charged arc, and the row of its working cost in the
+# table `brute_force_opt` picks from.
+OPEN, FREE, CLOSED = 0, 1, 2
+
 
 class TooLarge(FixnetError):
     pass
@@ -37,6 +39,10 @@ class TooLarge(FixnetError):
 
 @dataclass
 class OracleResult:
+    """An optimum, a flow vector attaining it, and in `subsets_explored` the
+    number of LP nodes the branch and bound solved, the root included; the
+    benchmark's tracer sums that field as `oracle.subsets_explored`."""
+
     optimum: int
     witness_flows: np.ndarray
     subsets_explored: int
@@ -57,67 +63,78 @@ def check_solution(problem: NetworkProblem, flows) -> SolutionReport:
 
 
 def brute_force_opt(problem: NetworkProblem, max_fc_arcs: int = 20) -> OracleResult:
-    """Provably optimal solution via exhaustive open/closed pattern pricing.
+    """Provably optimal solution by depth-first LP-based branch and bound.
 
-    Closing an arc is realized by raising its cost to BigM, which keeps every
-    pattern LP warm-startable. A pattern LP may still route flow on a closed
-    arc; it then prices a feasible solution, valid and never better than
-    optimal. BigM must exceed the summed |c_j| of the arcs with capacity:
-    then every cycle that opens a closed arc costs more than it saves, so the
-    pattern of an optimal flow's used arcs finds a flow at least as good, and
-    TooLarge is raised otherwise. Charges follow actual flow, so an open arc
-    left at zero pays nothing, and the minimum over all patterns is the exact
-    optimum.
+    A node marks each charged arc open, closed or free. Its LP prices open
+    arcs at c_j, closed arcs at BigM and free arcs at c_j + F_j/max(U_j, 1),
+    whose cost on [0, U_j] is at most c_j x_j + F_j [x_j > 0] and meets it at
+    0 and U_j. The node's bound is the LP value plus the open arcs' charges.
+    Every node's flows are charged by `fc_objective` as a candidate
+    incumbent, which changes only on a strict improvement, so the witness
+    is the first flow vector found at the optimum. A node is done when its
+    LP routes flow on a closed arc (it is then empty, see the guard), when
+    its bound leaves no integer below the incumbent's value (see the
+    margin), or when it has no free arc of positive capacity: its LP costs
+    are then integers, so its LP is exact. Otherwise it branches on the free
+    arc with 0 < x_j < U_j that maximizes F_j (1 - x_j/U_j), or, when none is
+    fractional, on the free arc of largest such score, open child first.
+    The root is solved cold and every later node by `reoptimize` from the
+    previous node's basis; `subsets_explored` counts these LPs.
 
-    The charged arcs are ordered once, by descending reduced cost at the
-    plain-cost LP and then by descending unit cost, and the Gray-code bit
-    of rank i toggles the i-th; every pattern is still priced. A toggle of
-    a nonbasic arc that `SimplexState.prices` does not pick at its new cost
-    is not re-solved: no tree arc's cost changed, so the potentials and
-    every other reduced cost are those of the last re-solve, which left no
-    violation, and a re-solve would make no pivot. The next re-solve
-    installs the whole vector. A toggle of a tree arc is always re-solved.
-    Without a pivot the flows, and so the value, are the previous pattern's.
-    The objective of each distinct flow vector is computed once, through
-    the full check, and kept in a dict for this call only; the incumbent
-    changes only on a strict improvement, so the witness is the first flow
-    vector found at the optimum.
+    Margin: objectives are integers, so a node is pruned when its float
+    bound exceeds best - 1 by, with m arcs, n nodes and eps = 2^-52,
+        margin = PRICE_TOL sum U_j + 4 (m + n) eps (R sum U_j + sum F_j).
+    The first term covers a basis that is optimal only to PRICE_TOL, which
+    can overstate the LP value by that much; the second covers the rounding
+    of the float working costs, potentials and dot product, each a sum of
+    at most m + n terms bounded by R sum U_j + sum F_j, with R as below.
+    Under a margin below 1/2 a node whose free arcs all sit at 0 or U_j is
+    always pruned, its bound being at least its own flows' value; a larger
+    margin lets such a node branch, on an arc at a bound.
+
+    Guard: R is the exact sum, over the arcs with capacity, of the largest
+    working cost an open or free arc can take in absolute value,
+    max(|c_j|, |c_j + F_j/U_j|). While BigM exceeds R + margin, a cycle that
+    carries flow over a closed arc costs more per unit than the LP's
+    tolerance allows, so an LP that routes flow on a closed arc proves that
+    no flow leaves its node's closed arcs empty. TooLarge is raised
+    otherwise, and when more than `max_fc_arcs` arcs carry a charge.
     """
     validate(problem)
-    fc = np.flatnonzero(problem.fixed > 0).tolist()
-    if len(fc) > max_fc_arcs:
-        raise TooLarge(f"{len(fc)} charged arcs exceed the limit {max_fc_arcs}")
-    base = problem.cost.astype(np.float64)
-    state = solve_lp(problem, base)
-    if state.bigm <= sum(map(abs, problem.cost[problem.cap > 0].tolist())):
-        raise TooLarge(f"unit costs sum past the capped big-M {state.bigm}, "
-                       "so closing arcs by cost is unsound")
-    bigm = float(state.bigm)
-    rc, cost = state.reduced_costs().tolist(), problem.cost.tolist()
-    fc.sort(key=lambda j: (-rc[j], -cost[j]))  # stable: full ties keep index order
-
-    best_flows = state.real_flows()
-    best_val = fc_objective(problem, best_flows)
-    seen = {best_flows.tobytes(): best_val}
-
-    costs = base.copy()
-    for step in range(1, 1 << len(fc)):
-        bit = (step & -step).bit_length() - 1
-        arc = fc[bit]
-        costs[arc] = bigm if costs[arc] != bigm else base[arc]
-        if not state.basic[arc] and not state.prices(arc, costs[arc]):
-            continue
-        pivots = state.pivot_count
-        reoptimize(state, costs)
-        if state.pivot_count == pivots:
-            continue
+    fc = np.flatnonzero(problem.fixed > 0)
+    if fc.size > max_fc_arcs:
+        raise TooLarge(f"{fc.size} charged arcs exceed the limit {max_fc_arcs}")
+    cost, fixed, cap = problem.cost, problem.fixed, problem.cap
+    reach = sum(max(abs(c), abs(c + Fraction(f, u)))
+                for c, f, u in zip(cost.tolist(), fixed.tolist(), cap.tolist()) if u > 0)
+    cap_sum = cap.sum(dtype=np.float64)
+    margin = PRICE_TOL * cap_sum + 4 * (problem.arc_count + problem.node_count) \
+        * np.finfo(np.float64).eps * (float(reach) * cap_sum + fixed.sum(dtype=np.float64))
+    f_fc, u_fc = fixed[fc], cap[fc]
+    costs = cost.astype(np.float64)
+    costs[fc] += f_fc / np.maximum(u_fc, 1)
+    state = solve_lp(problem, costs)
+    if state.bigm <= reach + Fraction(margin):
+        raise TooLarge(f"unit costs sum past the capped big-M {state.bigm}, charges spread "
+                       "over capacities included, so closing arcs by cost is unsound")
+    levels = np.array([cost[fc], costs[fc], np.full(fc.size, float(state.bigm))])
+    stack, nodes, best_val, best_flows = [np.full(fc.size, FREE)], 0, np.inf, None
+    while stack:
+        status = stack.pop()
+        if nodes:
+            costs[fc] = np.choose(status, levels)
+            reoptimize(state, costs)
+        nodes += 1
         flows = state.real_flows()
-        key = flows.tobytes()
-        val = seen.get(key)
-        if val is None:
-            val = seen[key] = fc_objective(problem, flows)
-            if val < best_val:
-                best_val = val
-                best_flows = flows
-    return OracleResult(optimum=best_val, witness_flows=best_flows,
-                        subsets_explored=1 << len(fc))
+        val = fc_objective(problem, flows)
+        if val < best_val:
+            best_val, best_flows = val, flows
+        x, free = flows[fc], (status == FREE) & (u_fc > 0)
+        bound = float(costs @ flows) + int(f_fc[status == OPEN].sum())
+        if x[status == CLOSED].any() or not free.any() or bound - margin > best_val - 1:
+            continue
+        frac = free & (x > 0) & (x < u_fc)
+        score = np.where(frac if frac.any() else free, f_fc * (1 - x / np.maximum(u_fc, 1)), -1)
+        branch = np.arange(fc.size) == score.argmax()
+        stack += [np.where(branch, mark, status) for mark in (CLOSED, OPEN)]
+    return OracleResult(optimum=best_val, witness_flows=best_flows, subsets_explored=nodes)

@@ -417,7 +417,7 @@ def test_bench_with_oracle_ratios_and_summary(tmp_path):
     assert float(summary[zcol]) == pytest.approx(sum(ratios) / len(ratios), abs=1e-9)
 
 
-def test_bench_oracle_skips_oversized_instances(tmp_path):
+def test_bench_oracle_skips_oversized_instances(tmp_path, capsys):
     spec = probio.FctpSpec(sources=5, sinks=5, total_supply=50, seed=0)  # 25 charged arcs
     (tmp_path / "big.fcnf").write_text(probio.write_fcnf(probio.generate_fctp(spec)))
     out = tmp_path / "res.csv"
@@ -425,6 +425,8 @@ def test_bench_oracle_skips_oversized_instances(tmp_path):
     assert rc == 0
     rows = read_csv(out.read_text())
     assert rows[1][bench.CSV_COLUMNS.index("oracle_z")] == ""
+    err = capsys.readouterr().err
+    assert err == "error: big: 25 charged arcs exceed the limit 20\n"
 
 
 def test_bench_records_errors_and_continues(tmp_path, capsys):
@@ -447,7 +449,8 @@ def test_oracle_subcommand(two_node_file, capsys):
     rc = run_cli(["oracle", str(two_node_file)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out == "optimum=115 subsets_explored=2\n"
+    # the root LP fills the arc halfway, so it branches into two children
+    assert out == "optimum=115 subsets_explored=3\n"
 
 
 def test_oracle_writes_a_solution_that_checks(tmp_path, capsys):

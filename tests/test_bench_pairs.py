@@ -3,7 +3,9 @@
 A claimed metric must improve in at least nine tenths of the pairs, ties
 counting for neither side, and its median must move by more than the
 parent's interquartile spread. Every metric's median must stay inside its
-bound, read the right way round for lower-better and higher-better metrics.
+bound, read the right way round for lower-better and higher-better metrics,
+and a metric whose parent spread is wider than its bound is unresolved
+unless every change run beats every parent run.
 """
 
 import importlib.util
@@ -101,5 +103,32 @@ def test_bound_check_reads_each_metric_in_its_own_direction(bench_pairs, spec, f
     assert row["parent_median"] == pytest.approx(10.5)
     assert row["change_median"] == pytest.approx(10.5 * factor)
     assert row["within_bound"] is within
+    assert row["status"] == ("ok" if within else "EXCEEDED")
     assert ("EXCEEDED" in lines[0]) is not within
     assert "claim_met" not in row
+
+
+# ten parent runs with quartiles 8 and 12 round a median of 10: a spread of
+# 40 % of the median, wider than either metric's 24 % bound
+WIDE = [6.0, 7.0, 8.0, 8.0, 10.0, 10.0, 12.0, 12.0, 13.0, 14.0]
+
+
+@pytest.mark.parametrize("spec,shift,status", [
+    (SOLVE, 0.0, "unresolved"),   # the same runs: the spread hides any change
+    (SOLVE, 5.0, "unresolved"),   # 50 % slower, yet unresolved, not EXCEEDED
+    (SOLVE, -3.0, "unresolved"),  # faster in the median, not in every run
+    (SOLVE, -9.0, "ok"),          # every change run beats every parent run
+    (RATE, 0.0, "unresolved"),
+    (RATE, -5.0, "unresolved"),
+    (RATE, 3.0, "unresolved"),
+    (RATE, 9.0, "ok"),
+])
+def test_a_parent_spread_wider_than_the_bound_leaves_the_metric_unresolved(
+        bench_pairs, spec, shift, status):
+    name = spec["name"]
+    change = [p + shift for p in WIDE]
+    report, lines = bench_pairs.summarize(pairs(name, WIDE, change), [spec], None)
+    assert bench_pairs.quartiles(WIDE) == pytest.approx((8.0, 12.0))
+    assert report[name]["status"] == status
+    assert lines[0].endswith(f"bound 24% {status}")
+

@@ -956,8 +956,8 @@ def test_feasibility_proof_relabels_when_only_root_costs_change(entry_checked_op
 
 
 def test_oracle_enumeration_keeps_valid_labels(monkeypatch, entry_checked_optimize):
-    # every optimize is the cold solve's or one warm re-solve's; toggles that
-    # cannot pivot are not re-solved, yet every pattern is still priced
+    # every optimize is the cold solve's or one warm re-solve's: the root
+    # node is solved cold, every later node warm from the previous basis
     p = probio.generate_fctp(probio.FctpSpec(4, 4, total_supply=400, fc_count=12, seed=9000))
     cold, warm = [], []
     solve_lp, reoptimize = oracle.solve_lp, oracle.reoptimize
@@ -974,9 +974,8 @@ def test_oracle_enumeration_keeps_valid_labels(monkeypatch, entry_checked_optimi
     monkeypatch.setattr(oracle, "solve_lp", counted_solve_lp)
     monkeypatch.setattr(oracle, "reoptimize", counted_reoptimize)
     res = oracle.brute_force_opt(p, max_fc_arcs=14)
-    assert len(cold) == 1 and 0 < len(warm) < 2**12 - 1
+    assert len(cold) == 1 and len(warm) == res.subsets_explored - 1 > 0
     assert len(entry_checked_optimize) == cold[0] + len(warm)
-    assert res.subsets_explored == 2**12
     assert res.optimum == nc.fc_objective(p, res.witness_flows)
 
 
@@ -1093,30 +1092,6 @@ def test_kept_price_sign_matches_the_state_and_prices_as_two_masks(checked_signs
     gits.run(fctp_instance())
     assert checked_signs["flip"] > 0 and checked_signs["exchange"] > 1000
     assert checked_signs["priced"] > 1000
-
-
-@pytest.mark.parametrize("make", [fctp_instance, netgen_instance, zero_cap_netgen_instance],
-                         ids=["fctp", "netgen", "netgen-cap0"])
-def test_scalar_pricing_agrees_with_price_on_every_nonbasic_arc(make):
-    # at 20 warm starts under random penalties, prices(j, work[j]) holds on
-    # exactly the nonbasic arcs _price's vector rule finds violating
-    p = make()
-    state = nc.solve_lp(p, p.cost)
-    assert np.any(state.cap[~state.basic] == 0)
-    rng = np.random.default_rng(17)
-    priced = 0
-    for _ in range(20):
-        state.set_costs(p.cost + p.fixed / rng.uniform(1.0, 90.0, size=p.arc_count))
-        viol = two_mask_violation(state)
-        nonbasic = np.flatnonzero(~state.basic)
-        got = np.array([state.prices(j, state.work[j]) for j in nonbasic])
-        assert np.array_equal(got, viol[nonbasic] > nc.PRICE_TOL)
-        j = state._price()
-        assert (j >= 0) == got.any() and (j < 0 or state.prices(j, state.work[j]))
-        priced += int(got.sum())
-        state.optimize()
-        assert not any(state.prices(j, state.work[j]) for j in np.flatnonzero(~state.basic))
-    assert priced > 0
 
 
 # -- kept sweep answers ---------------------------------------------------------------
