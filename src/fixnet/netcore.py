@@ -2,7 +2,7 @@
 
 An instance is a set of read-only int64 arrays: supplies per node, and tail,
 head, unit cost, fixed charge and capacity per arc. Flows are 64-bit integers
-too; working costs are floats so that penalized cost vectors can be
+too; working costs are int64 on a grid of 1/S so that penalized costs can be
 non-integral. The basis is a spanning tree over the instance nodes and a
 virtual root, joined to every node by an artificial arc. `solve_lp` proves
 feasibility once and then caps the artificial arcs at zero, so no later cost
@@ -15,7 +15,9 @@ strongly feasible tree (positive flow can reach the root from every node)
 strongly feasible, which rules out cycling; a pivot whose cycle passes
 through the root leaves by a capped root arc and can break that property,
 so the pivot limit of `optimize` is the backstop. Instance costs are
-integers, so all pivot-delta arithmetic is exact.
+integers, so all pivot-delta arithmetic is exact, and potentials and reduced
+costs are integers in units of 1/S (`working_scale`), so pricing needs no
+tolerance.
 
 Pricing reads a sign kept per arc, which each pivot updates on its entering
 and leaving arc, so it rebuilds no mask over the arcs. The parent, pred-arc
@@ -33,7 +35,6 @@ import numpy as np
 
 BIGM_CAP = 10**12
 BIGM_FLOOR = 1000
-PRICE_TOL = 1e-7
 # A sweep answers its candidates by the linear walk when their count times
 # the tree depth is at most this, else by binary lifting. A walk climbs at
 # most twice the depth per candidate; at this bound it was never slower than
@@ -179,7 +180,7 @@ def make_problem(supply: Sequence[int], arcs: Sequence) -> NetworkProblem:
 def validate(problem: NetworkProblem) -> NetworkProblem:
     """Check model invariants; returns the problem unchanged when sound.
 
-    The last check is the exact-integer range contract: B = sum |c_j| U_j +
+    The last checks are the exact-integer range contract: B = sum |c_j| U_j +
     sum F_j must stay below 2^62, else `OutOfExactRange`. Once `solve_lp`
     has capped the root arcs, every objective, and every objective delta of
     a pivot with a positive flow change d, is at most B in magnitude: d is
@@ -190,7 +191,8 @@ def validate(problem: NetworkProblem) -> NetworkProblem:
     capacity 0 adds nothing to B), but int64 arithmetic is exact modulo
     2^64, so their difference times the delta is exact because its true
     value is in range. The search subtracts one objective from another,
-    which stays below 2 B < 2^63.
+    which stays below 2 B < 2^63. A working-cost scale must also exist at
+    BIGM_CAP, the largest big-M (`working_scale`).
     """
     n = problem.node_count
     if n < 1:
@@ -217,6 +219,7 @@ def validate(problem: NetworkProblem) -> NetworkProblem:
         bound = _objective_bound(problem)
         if bound >= 2**62:
             raise OutOfExactRange(f"sum |c_j| U_j + sum F_j = {bound} reaches 2^62")
+    working_scale(problem, BIGM_CAP)
     return problem
 
 
@@ -229,6 +232,19 @@ def _objective_bound(problem: NetworkProblem) -> int:
 def default_bigm(problem: NetworkProblem) -> int:
     """Instance cost dominator: 2 B (see `validate`), floored and capped."""
     return int(min(max(2 * _objective_bound(problem), BIGM_FLOOR), BIGM_CAP))
+
+
+def working_scale(problem: NetworkProblem, bigm: int) -> Tuple[int, int]:
+    """(S, T) under big-M `bigm`: T = max |c_j| + bigm bounds every working
+    cost (c_j plus a penalty of at most BigM, BigM, or 1 in phase 1), and S
+    is the largest power of two with S T <= 2^53, so S c is exact in float64,
+    and (n + 2) S T < 2^62, so potentials (sums of at most n working costs)
+    and reduced costs fit in int64. Raises `OutOfExactRange` if S < 1."""
+    t = max(-int(problem.cost.min(initial=0)), int(problem.cost.max(initial=0))) + bigm
+    k = min(2**53 // t, (2**62 - 1) // ((problem.node_count + 2) * t)).bit_length() - 1
+    if k < 0:
+        raise OutOfExactRange(f"no working-cost scale for T = {t}, n = {problem.node_count}")
+    return 1 << k, t
 
 
 def check_flows(problem: NetworkProblem, flows) -> Tuple[List[str], Optional[int]]:
@@ -308,6 +324,7 @@ class SimplexState:
         self.root = n
         self.E = m + n
         self.bigm = default_bigm(problem)
+        self.scale, self.max_cost = working_scale(problem, self.bigm)
 
         supply = problem.supply
         source = supply >= 0
@@ -325,11 +342,11 @@ class SimplexState:
         self.basic = np.zeros(self.E, dtype=bool)
         self.basic[m:] = True
         self.base_cost = np.concatenate([problem.cost, np.full(n, self.bigm, dtype=np.int64)])
-        # NaN differs from every cost, so the first install labels the tree.
-        self.work = np.full(self.E, np.nan)
+        # Working costs in units of 1/S; installing BigM on the tree labels it.
+        self.work = np.zeros(self.E, dtype=np.int64)
         # What pricing multiplies a reduced cost by: -1 at flow 0 (pushed up),
         # +1 at capacity (pushed down), 0 on tree arcs and arcs of capacity 0.
-        self.price_sign = np.where(self.basic | (self.cap == 0), 0.0, -1.0)
+        self.price_sign = np.where(self.basic | (self.cap == 0), 0, -1)
         # Element-wise copies for the relabel and the ratio test; `set_costs`
         # refreshes the working costs' copy.
         self.tail_list = self.tail.tolist()
@@ -338,12 +355,8 @@ class SimplexState:
         self.parent = [-1] * (n + 1)
         self.pred_arc = [-1] * (n + 1)
         self.depth = [0] * (n + 1)
-        self.pot_work = np.zeros(n + 1, dtype=np.float64)
-        self.tree_adj = [[] for _ in range(n + 1)]
-        for i in range(n):
-            j = m + i
-            self.tree_adj[i].append(j)
-            self.tree_adj[self.root].append(j)
+        self.pot_work = np.zeros(n + 1, dtype=np.int64)
+        self.tree_adj = [[m + i] for i in range(n)] + [list(range(m, m + n))]
 
         self.version = 0
         self.pivot_count = 0
@@ -358,28 +371,29 @@ class SimplexState:
         self.sweep_xoj = np.zeros(m, dtype=np.int64)
         self.sweep_witness = np.zeros(m, dtype=np.int64)
         self.sweep_version = -1
-        self.set_costs(costs, float(self.bigm))
+        self.set_costs(costs, self.bigm)
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def set_costs(self, costs, root_cost: Optional[float] = None) -> None:
-        """Install a new working cost vector for the instance arcs, and
-        `root_cost` on every artificial arc when given.
-
-        Working potentials read only the tree arcs' costs, so the labels are
-        rebuilt only when some tree arc's working cost changes. Otherwise
-        they are kept, and they equal those a rebuild would give bit for bit.
-        Every write to the working costs goes through here.
-        """
+    def set_costs(self, costs, root_cost: Optional[int] = None) -> None:
+        """Install working costs for the instance arcs, and the integer
+        `root_cost` on every artificial arc when given; every write to the
+        working costs goes through here. A cost c is stored as round(S c):
+        exactly when it is on the grid 1/S, integers included, else within
+        1/(2S). A cost that is not finite or exceeds T = `max_cost` in
+        magnitude raises ValueError. Potentials read only the tree arcs'
+        costs, so the labels are rebuilt only when a tree arc's cost changes."""
         c = np.asarray(costs, dtype=np.float64)
         if c.shape != (self.m,):
             raise ValueError(f"cost vector has shape {c.shape}, expected ({self.m},)")
-        if not np.isfinite(c).all():
-            raise ValueError("costs must be finite")
+        if not (np.abs(c) <= self.max_cost).all():
+            raise ValueError(f"costs must be finite and at most {self.max_cost} in magnitude")
+        w = np.rint(c * self.scale).astype(np.int64)
         work, basic, m = self.work, self.basic, self.m
-        stale = (basic[:m] & (c != work[:m])).any()
-        work[:m] = c
+        stale = (basic[:m] & (w != work[:m])).any()
+        work[:m] = w
         if root_cost is not None:
+            root_cost *= self.scale
             stale |= (basic[m:] & (work[m:] != root_cost)).any()
             work[m:] = root_cost
         self.work_list = work.tolist()
@@ -392,18 +406,17 @@ class SimplexState:
         self.parent[root] = -1
         self.pred_arc[root] = -1
         self.depth[root] = 0
-        self.pot_work[root] = 0.0
+        self.pot_work[root] = 0
         if self._hang(root, self.tree_adj[root]) != self.n:
             raise SimplexStalled("basis arcs do not span every node")
 
     def _hang(self, u: int, arcs) -> int:
         """Label every node reached from u across the given tree arcs of u.
 
-        Each node takes its parent, pred arc, depth and working potential from
-        its parent, so the labels equal a full walk from the root bit for bit
-        whenever u's own labels do. A node's potential rides on the stack as
-        a Python float, one IEEE add or subtract from its parent's, and the
-        moved nodes' potentials are written in one scatter at the end.
+        Each node takes its parent, pred arc, depth and working potential
+        (a Python int on the stack, its parent's plus or minus one working
+        cost) from its parent, so the labels equal a full walk from the root
+        whenever u's own labels do; potentials are scattered at the end.
         Returns the number of nodes labelled; more than n means the tree arcs
         hold a cycle, round which the walk would run for ever, and raises
         SimplexStalled.
@@ -412,7 +425,7 @@ class SimplexState:
         tail, head, work = self.tail_list, self.head_list, self.work_list
         adj = self.tree_adj
         n = self.n
-        pwu = float(self.pot_work[u])
+        pwu = int(self.pot_work[u])
         stack = []
         nodes, pots = [], []
         while True:
@@ -451,7 +464,7 @@ class SimplexState:
         if self.has_artificial_flow():
             raise SimplexStalled("artificial arcs still carry flow")
         self.cap[self.m :] = 0
-        self.price_sign[self.m :] = 0.0
+        self.price_sign[self.m :] = 0
         self.version += 1
 
     def copy(self) -> "SimplexState":
@@ -465,9 +478,9 @@ class SimplexState:
     # -- pivoting machinery ------------------------------------------------
 
     def reduced_costs(self) -> np.ndarray:
-        """Working reduced cost of every arc, artificial arcs included: zero
-        on tree arcs up to rounding, at optimality nonnegative on arcs at 0
-        and nonpositive on arcs at capacity."""
+        """Working reduced cost of every arc, artificial arcs included, in
+        units of 1/S as int64: zero on tree arcs, at optimality nonnegative
+        on arcs at 0 and nonpositive on arcs at capacity."""
         pw = self.pot_work
         return self.work - pw[self.tail] + pw[self.head]
 
@@ -475,12 +488,12 @@ class SimplexState:
         """Dantzig rule: most violating nonbasic arc, lowest index on ties.
         The violation is the reduced cost times the kept `price_sign`, which
         is 0 on tree arcs and on arcs of capacity 0: such an arc has equal
-        bounds, so it is optimal at any reduced cost and never priced. A
-        product by +-1 is exact, and a masked entry is +-0.0."""
+        bounds, so it is optimal at any reduced cost and never priced. The
+        violations are exact integers, so any positive one is taken."""
         viol = self.reduced_costs()
         viol *= self.price_sign
         j = int(viol.argmax())
-        return j if viol[j] > PRICE_TOL else -1
+        return j if viol[j] > 0 else -1
 
     def _cycle(self, j: int):
         """Ratio test over the basis cycle of nonbasic arc j in its push direction.
@@ -554,9 +567,9 @@ class SimplexState:
         if delta:
             for e, s in cycle:
                 flow[e] += s * delta
-        self.price_sign[k] = 0.0 if capk == 0 else -1.0 if fk == 0 else 1.0
+        self.price_sign[k] = 0 if capk == 0 else -1 if fk == 0 else 1
         if k != j:
-            self.price_sign[j] = 0.0
+            self.price_sign[j] = 0
             self.basic[j] = True
             self.basic[k] = False
             adj[tail[j]].append(j)
@@ -597,13 +610,11 @@ class SimplexState:
         net = np.zeros(n + 1, dtype=np.int64)
         np.add.at(net, self.tail, self.flow)
         np.subtract.at(net, self.head, self.flow)
-        expect = np.zeros(n + 1, dtype=np.int64)
-        expect[:n] = self.problem.supply
-        if np.any(net != expect):
+        if np.any(net != np.append(self.problem.supply, 0)):
             raise SimplexStalled("flow conservation violated")
         root = self.root
         parent, pred, depth = _label_arrays(self)
-        if (parent[root], pred[root], depth[root], self.pot_work[root]) != (-1, -1, 0, 0.0):
+        if (parent[root], pred[root], depth[root], self.pot_work[root]) != (-1, -1, 0, 0):
             raise SimplexStalled("root labels are not the root's")
         u, e = parent[:n], pred[:n]
         if np.any((u < 0) | (u > n)) or np.any((e < 0) | (e >= self.E)):
@@ -615,15 +626,10 @@ class SimplexState:
             raise SimplexStalled("pred arc is not a tree arc to the parent")
         if np.any(depth[:n] != depth[u] + 1):
             raise SimplexStalled("depth is not the parent's plus one")
-        # Each tree arc's potentials differ by one rounded float operation in
-        # _hang, so its reduced cost is zero to a few ulps of its terms.
-        tree = np.flatnonzero(self.basic)
-        w, pt, ph = self.work[tree], self.pot_work[self.tail[tree]], self.pot_work[self.head[tree]]
-        ulps = 4 * np.finfo(np.float64).eps * (np.abs(w) + np.abs(pt) + np.abs(ph))
-        if np.any(np.abs(w - pt + ph) > ulps):
+        if np.any(self.reduced_costs()[self.basic]):
             raise SimplexStalled("tree arc with nonzero reduced cost")
-        sign = np.where(self.flow == 0, -1.0, 1.0)
-        sign[self.basic | (self.cap == 0)] = 0.0
+        sign = np.where(self.flow == 0, -1, 1)
+        sign[self.basic | (self.cap == 0)] = 0
         if not np.array_equal(self.price_sign, sign):
             raise SimplexStalled("pricing sign does not match the basis and bounds")
 
@@ -641,14 +647,13 @@ def solve_lp(problem: NetworkProblem, costs) -> SimplexState:
     validate(problem)
     state = SimplexState(problem, costs)
     state.optimize()
-    m = state.m
     if state.has_artificial_flow():
-        state.set_costs(np.zeros(m), 1.0)
+        state.set_costs(np.zeros(state.m), 1)
         state.optimize()
         if state.has_artificial_flow():
             raise Infeasible("no feasible flow meets all supplies")
         state.close_artificial_arcs()
-        state.set_costs(costs, float(state.bigm))
+        state.set_costs(costs, state.bigm)
         state.optimize()
     state.close_artificial_arcs()
     return state

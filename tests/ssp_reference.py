@@ -70,3 +70,10 @@ def min_cost_flow(node_count, supply, arcs):
         total += push * dist[snk]
     flows = [cap[2 * idx + 1] for idx in range(len(arcs))]
     return True, total, flows
+
+
+def problem_rows(problem, costs=None):
+    """The (tail, head, cost, capacity) rows of an instance's arc arrays,
+    with `costs` in place of its unit costs when given."""
+    cost = problem.cost.tolist() if costs is None else list(costs)
+    return list(zip(problem.tail.tolist(), problem.head.tolist(), cost, problem.cap.tolist()))

@@ -10,7 +10,7 @@ import pytest
 from fixnet import bench, gits
 from fixnet import netcore as nc
 from fixnet import oracle, probio
-from ssp_reference import min_cost_flow
+from ssp_reference import min_cost_flow, problem_rows
 
 
 def report(num, name, ok, detail=""):
@@ -49,7 +49,7 @@ def zero_fc_runs():
         spec = probio.FctpSpec(sources=4, sinks=5, total_supply=120,
                                fc_range=(50, 200), fc_count=0, seed=500 + seed)
         problem = probio.generate_fctp(spec)
-        costs = [a.cost for a in problem.arcs]
+        costs = problem.cost.tolist()
         lp = nc.solve_lp(problem, costs)
         lp_obj = int(np.dot(lp.real_flows(), costs))
         result = gits.run(problem)
@@ -76,7 +76,7 @@ def test_criterion_1_sandwich_bound(small_quality_runs):
     # LP relaxation <= exact optimum <= heuristic on every instance
     ok = True
     for problem, res, opt in small_quality_runs:
-        costs = [a.cost for a in problem.arcs]
+        costs = problem.cost.tolist()
         lp = nc.solve_lp(problem, costs)
         lp_obj = int(np.dot(lp.real_flows(), costs))
         if not lp_obj <= opt.optimum <= res.best_value:
@@ -118,8 +118,8 @@ def test_criterion_3_simplex_matches_ssp_and_warm_start():
     instances = _mixed_instances(50)
     for problem in instances:
         assert problem.node_count <= 30 and problem.arc_count <= 120
-        costs = np.array([a.cost for a in problem.arcs], dtype=np.int64)
-        rows = [(a.tail, a.head, a.cost, a.capacity) for a in problem.arcs]
+        costs = problem.cost
+        rows = problem_rows(problem)
         feasible, ref_cost, _ = min_cost_flow(problem.node_count, problem.supply, rows)
         state = nc.solve_lp(problem, costs)
         got = int(np.dot(state.real_flows(), costs))
@@ -145,7 +145,7 @@ def test_criterion_4_pivot_delta_exactness():
         spec = probio.FctpSpec(sources=3, sinks=3, total_supply=60,
                                fc_range=(20, 120), fc_count=6, seed=700 + seed)
         problem = probio.generate_fctp(spec)
-        state = nc.solve_lp(problem, [a.cost for a in problem.arcs])
+        state = nc.solve_lp(problem, problem.cost.tolist())
         for _ in range(10):
             before = nc.fc_objective(problem, state.real_flows())
             cand, delta, xoj, ok = nc.evaluate_all_entering(state)
@@ -241,14 +241,14 @@ def test_criterion_7_testset2_reproducible(tmp_path):
     seen = set()
     for path in sorted(dir1.glob("*.fcnf")):
         problem = probio.parse_fcnf(path.read_text())
-        srcs = sum(1 for b in problem.supply if b > 0)
-        snks = sum(1 for b in problem.supply if b < 0)
-        total = sum(b for b in problem.supply if b > 0)
-        fx = [a.fixed for a in problem.arcs]
-        fc = (20, 200) if max(fx) <= 200 else (1600, 6400)
-        assert min(fx) >= fc[0] and max(fx) <= fc[1]
-        assert all(200 <= a.capacity <= 1500 for a in problem.arcs)
-        assert all(3 <= a.cost <= 8 for a in problem.arcs)
+        srcs = int(np.count_nonzero(problem.supply > 0))
+        snks = int(np.count_nonzero(problem.supply < 0))
+        total = int(problem.supply[problem.supply > 0].sum())
+        fx = problem.fixed
+        fc = (20, 200) if fx.max() <= 200 else (1600, 6400)
+        assert fx.min() >= fc[0] and fx.max() <= fc[1]
+        assert np.all((200 <= problem.cap) & (problem.cap <= 1500))
+        assert np.all((3 <= problem.cost) & (problem.cost <= 8))
         seen.add((problem.node_count, srcs, snks, problem.arc_count, total, fc))
     ok = seen == TS2_EXPECTED
     report(7, "testset2 suite: 96 byte-stable instances, full factorial", ok,

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fixnet import bench, oracle, probio
@@ -140,7 +141,10 @@ def test_artificial_flow_exit_codes(tmp_path, capsys, cmd, text, codes, value):
 # reaches 2^62 through a cost of 2^62 (FOUND), and stays one below it when the
 # costly arc's charge is 3 (UNDER, whose supply of 20 fills both arcs).
 FOUND = "p fcnf 2 2\nn 1 10\nn 2 -10\na 1 2 0 10 1 0\na 1 2 0 10 4611686018427387904 0\n"
-UNDER = "p fcnf 2 2\nn 1 20\nn 2 -20\na 1 2 0 10 1 0\na 1 2 0 10 461168601842738789 3\n"
+# B = 2^20 + 2^20 (2^42 - 2) + 2^20 - 1 = 2^62 - 1, with a unit cost inside
+# the working-cost range
+UNDER = ("p fcnf 2 2\nn 1 2097152\nn 2 -2097152\na 1 2 0 1048576 1 0\n"
+         "a 1 2 0 1048576 4398046511102 1048575\n")
 
 
 @pytest.mark.parametrize("cmd", ["solve", "oracle"])
@@ -149,6 +153,15 @@ def test_an_objective_bound_of_2_62_exits_2(tmp_path, capsys, cmd):
     path.write_text(FOUND)
     assert run_cli([cmd, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cmd", ["solve", "oracle"])
+def test_an_instance_without_a_working_cost_scale_exits_2(tmp_path, capsys, cmd):
+    # unit cost 2^53 - 10^12 + 1: max |c_j| + the capped big-M passes 2^53
+    path = tmp_path / "unscaled.fcnf"
+    path.write_text(f"p fcnf 2 1\nn 1 1\nn 2 -1\na 1 2 0 1 {2**53 - 10**12 + 1} 0\n")
+    assert run_cli([cmd, str(path)]) == 2
+    assert "no working-cost scale" in capsys.readouterr().err
     assert not Path(str(path) + ".sol").exists()
 
 
@@ -288,7 +301,7 @@ def test_generate_single_fctp_shape(tmp_path):
     assert len(files) == 2
     p = probio.parse_fcnf(files[0].read_text())
     assert p.arc_count == 24
-    assert all(6400 <= a.fixed <= 25600 for a in p.arcs)
+    assert np.all((6400 <= p.fixed) & (p.fixed <= 25600))
 
 
 def test_generate_testset1_grid(tmp_path):

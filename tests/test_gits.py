@@ -554,7 +554,7 @@ def test_inside_loop_survives_no_admissible_move(monkeypatch):
 def test_run_zero_charges_equals_lp_exactly():
     for seed in range(4):
         p = zero_fc_instance(seed)
-        costs = [a.cost for a in p.arcs]
+        costs = p.cost.tolist()
         lp = nc.solve_lp(p, costs)
         lp_obj = int(np.dot(lp.real_flows(), costs))
         res = gits.run(p)
@@ -674,7 +674,7 @@ def test_run_small_batch_quality_sanity():
 
 def test_run_respects_lower_bound_sandwich():
     p = quality_instance(55, m=4, n=4, fc_count=8)
-    costs = [a.cost for a in p.arcs]
+    costs = p.cost.tolist()
     lp = nc.solve_lp(p, costs)
     lp_obj = int(np.dot(lp.real_flows(), costs))
     opt = oracle.brute_force_opt(p).optimum

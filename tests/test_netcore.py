@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fixnet import gits
 from fixnet import netcore as nc
 from fixnet import oracle, probio
-from ssp_reference import min_cost_flow
+from ssp_reference import min_cost_flow, problem_rows
 
 
 def two_by_two_diagonal():
@@ -72,17 +72,21 @@ def test_validate_rejects_total_supply_beyond_int64():
         nc.validate(p)
 
 
+BOUND_CAP = 2**20
+
+
 def objective_bound_problem(supply, fixed):
-    """A cheap arc (cost 1) and a costly one, each of capacity 10, from node 0
-    to node 1: B = sum |c_j| U_j + sum F_j is 2^62 - 1 at fixed 3 and 2^62
-    at fixed 4. A supply of 20 fills both, so the optimum is B."""
-    cost = (2**62 - 11) // 10
-    return nc.make_problem([supply, -supply], [(0, 1, 1, 0, 10), (0, 1, cost, fixed, 10)])
+    """A cheap arc (cost 1) and a costly one (cost 2^42 - 2, inside the
+    working-cost range), each of capacity 2^20, from node 0 to node 1:
+    B = sum |c_j| U_j + sum F_j is 2^62 - 1 at fixed 2^20 - 1 and 2^62 at
+    fixed 2^20. A supply of 2^21 fills both, so the optimum is B."""
+    return nc.make_problem([supply, -supply], [(0, 1, 1, 0, BOUND_CAP),
+                                               (0, 1, 2**42 - 2, fixed, BOUND_CAP)])
 
 
 @pytest.mark.parametrize("problem", [
     nc.make_problem([10, -10], [(0, 1, 1, 0, 10), (0, 1, 2**62, 0, 10)]),
-    objective_bound_problem(10, 4),
+    objective_bound_problem(BOUND_CAP, BOUND_CAP),
 ], ids=["cost-2^62", "bound-2^62"])
 def test_an_objective_bound_of_2_62_is_refused(problem):
     assert issubclass(nc.OutOfExactRange, nc.FixnetError)
@@ -94,20 +98,74 @@ def test_an_objective_bound_of_2_62_is_refused(problem):
 
 @pytest.mark.parametrize("path", ["full walk", "narrowed lift"])
 def test_an_objective_bound_just_under_2_62_sweeps_exactly(monkeypatch, path):
-    p = objective_bound_problem(10, 3)
+    p = objective_bound_problem(BOUND_CAP, BOUND_CAP - 1)
     state = nc.solve_lp(p, p.cost)
     with sweep_path(monkeypatch, path):
         cand, delta, xoj, _ = assert_sweep_matches_cycles(state, p)
-    # moving all 10 units onto the costly arc: 10 (cost - 1) + 3
-    assert cand.tolist() == [1] and delta[0] == 10 and xoj[0] == 2**62 - 21
+    # moving all 2^20 units onto the costly arc: 2^20 (cost - 1) + 2^20 - 1
+    assert cand.tolist() == [1] and delta[0] == BOUND_CAP and xoj[0] == 2**62 - 2**21 - 1
 
 
-@pytest.mark.parametrize("supply,best", [(10, 10), (20, 2**62 - 1)])
+@pytest.mark.parametrize("supply,best", [(BOUND_CAP, BOUND_CAP), (2 * BOUND_CAP, 2**62 - 1)])
 def test_an_objective_bound_just_under_2_62_solves(supply, best):
-    p = objective_bound_problem(supply, 3)
+    p = objective_bound_problem(supply, BOUND_CAP - 1)
     res = gits.run(p)
     report = oracle.check_solution(p, res.best_flows)
     assert report.feasible and report.objective == res.best_value == best
+
+
+def scale_bound_problem(cost, nodes=2):
+    """One unit from node 0 to node 1 over one arc of unit cost `cost`, plus
+    nodes without supply or arcs."""
+    return nc.make_problem([1, -1] + [0] * (nodes - 2), [(0, 1, cost, 0, 1)])
+
+
+# With T = max |c_j| + BIGM_CAP, a working-cost scale S >= 1 needs T <= 2^53
+# and (n + 2) T < 2^62: at T = 2^53, at most 509 nodes.
+@pytest.mark.parametrize("cost,nodes", [
+    (2**53 - nc.BIGM_CAP + 1, 2), (2**53 - nc.BIGM_CAP, 510), (-(2**53 - nc.BIGM_CAP + 1), 2),
+], ids=["cost", "nodes", "negative-cost"])
+def test_an_instance_without_a_working_cost_scale_is_refused(cost, nodes):
+    p = scale_bound_problem(cost, nodes)
+    for solve in (nc.validate, lambda p: nc.solve_lp(p, p.cost), gits.run):
+        with pytest.raises(nc.OutOfExactRange, match="no working-cost scale"):
+            solve(p)
+
+
+@pytest.mark.parametrize("cost,nodes", [(2**53 - nc.BIGM_CAP, 2), (2**53 - nc.BIGM_CAP, 509),
+                                        (-(2**53 - nc.BIGM_CAP), 2)])
+def test_an_instance_at_the_working_cost_scale_bound_solves(cost, nodes):
+    p = scale_bound_problem(cost, nodes)
+    state = nc.solve_lp(p, p.cost)
+    assert state.scale >= 1 and state.real_flows().tolist() == [1]
+    state.assert_valid_basis()
+    assert gits.run(p).best_value == cost
+
+
+def test_an_lp_stops_only_at_its_exact_optimum():
+    # Arc 1 costs 2^-24 less a unit than arc 0, one step of the grid at
+    # S = 2^24; a float simplex with a pricing tolerance of 1e-7 kept all
+    # 10^8 units on arc 0, 5.96 above the optimum.
+    u = 10**8
+    p = nc.make_problem([u, -u], [(0, 1, 1, 0, u), (0, 1, 0, u - 1, u)])
+    state = nc.solve_lp(p, [1.0, 1.0 - 2.0**-24])
+    assert state.scale == 2**24
+    assert state.real_flows().tolist() == [0, u]
+    assert state.reduced_costs()[0] == 1
+    for name in ("work", "pot_work", "price_sign"):
+        assert getattr(state, name).dtype == np.int64, name
+
+
+def test_set_costs_rounds_to_the_nearest_grid_point():
+    p = fctp_instance()
+    state = nc.solve_lp(p, p.cost)
+    costs = p.cost + np.random.default_rng(5).uniform(-3.0, 3.0, size=p.arc_count)
+    state.set_costs(costs)
+    err = np.abs(state.work[: state.m] / state.scale - costs)
+    assert err.max() <= 0.5 / state.scale
+    on_grid = np.round(costs * state.scale) / state.scale
+    state.set_costs(on_grid)
+    assert np.array_equal(state.work[: state.m] / state.scale, on_grid)
 
 
 @pytest.mark.parametrize("supply,row,error", [
@@ -187,8 +245,8 @@ def test_solve_lp_matches_ssp_oracle():
     rng = np.random.default_rng(1234)
     for _ in range(25):
         p = random_transport(rng, 3, 3)
-        costs = [a.cost for a in p.arcs]
-        rows = [(a.tail, a.head, a.cost, a.capacity) for a in p.arcs]
+        costs = p.cost.tolist()
+        rows = problem_rows(p)
         feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply, rows)
         try:
             state = nc.solve_lp(p, costs)
@@ -205,13 +263,13 @@ def costly_transport(seed):
     """A 3x3 transportation instance whose unit costs reach 2.4e12, past the
     2e12 detour via the root that the capped big-M prices."""
     p = random_transport(np.random.default_rng(seed), 3, 3)
-    return nc.make_problem(p.supply, [(t, h, c * 3 * 10**11, f, u) for t, h, c, f, u in p.arcs])
+    return nc.NetworkProblem(p.supply, p.tail, p.head, p.cost * 3 * 10**11, p.fixed, p.cap)
 
 
 def assert_root_capped(state):
     # root arcs: no capacity, no flow, and the same working cost on every path
     assert np.all(state.cap[state.m:] == 0) and np.all(state.flow[state.m:] == 0)
-    assert np.all(state.work[state.m:] == state.bigm)
+    assert np.all(state.work[state.m:] == state.bigm * state.scale)
     state.assert_valid_basis()
 
 
@@ -222,8 +280,7 @@ def test_costly_routes_solve_through_the_exact_feasibility_proof():
         start = nc.SimplexState(p, p.cost)
         start.optimize()
         fallbacks += start.has_artificial_flow()
-        feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), [
-            (a.tail, a.head, a.cost, a.capacity) for a in p.arcs])
+        feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), problem_rows(p))
         try:
             state = nc.solve_lp(p, p.cost)
         except nc.Infeasible:
@@ -241,11 +298,13 @@ def test_root_arcs_stay_capped_when_every_real_arc_costs_more_than_bigm(make):
     p = make()
     state = nc.solve_lp(p, p.cost)
     assert_root_capped(state)
-    costs = [int(c) + 10 * state.bigm for c in p.cost.tolist()]
+    # the unit costs plus BigM: every cost above BigM, the largest at the
+    # working-cost bound T = max |c_j| + BigM
+    costs = [int(c) + state.bigm for c in p.cost.tolist()]
+    assert min(costs) > state.bigm and max(costs) == state.max_cost
     nc.reoptimize(state, costs)
     assert_root_capped(state)
-    feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), [
-        (t, h, c, u) for (t, h, _, _, u), c in zip(p.arcs, costs)])
+    feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), problem_rows(p, costs))
     assert feasible
     assert sum(c * int(x) for c, x in zip(costs, state.real_flows())) == ref_cost
 
@@ -256,7 +315,7 @@ def test_root_arcs_stay_capped_when_every_real_arc_costs_more_than_bigm(make):
 def test_reoptimize_unchanged_costs_is_a_no_op():
     rng = np.random.default_rng(7)
     p = random_transport(rng, 3, 4)
-    costs = [float(a.cost) for a in p.arcs]
+    costs = p.cost.astype(np.float64).tolist()
     state = nc.solve_lp(p, costs)
     before = state.pivot_count
     obj0 = int(np.dot(state.real_flows(), costs))
@@ -282,7 +341,7 @@ def test_reoptimize_equals_cold_solve_after_perturbation():
     rng = np.random.default_rng(99)
     for _ in range(15):
         p = random_transport(rng, 3, 3)
-        c0 = np.array([float(a.cost) for a in p.arcs])
+        c0 = p.cost.astype(np.float64)
         try:
             state = nc.solve_lp(p, c0)
         except nc.Infeasible:
@@ -364,7 +423,8 @@ def test_evaluate_rejects_an_arc_index_out_of_range(j):
 @pytest.mark.parametrize("costs,match", [
     ([1.0], "shape"), ([1.0, 1.0, 1.0], "shape"),
     ([1.0, float("nan")], "finite"), ([float("inf"), 1.0], "finite"),
-], ids=["short", "long", "nan", "inf"])
+    ([1.0, -1e15], "at most"),
+], ids=["short", "long", "nan", "inf", "beyond-T"])
 def test_set_costs_rejects_a_wrong_shape_or_a_non_finite_cost(costs, match):
     p = parallel_arcs_problem(0, 0)
     state = nc.solve_lp(p, [1.0, 1.0])
@@ -380,7 +440,7 @@ def test_evaluate_matches_pivot_recompute_everywhere():
     for _ in range(20):
         p = random_transport(rng, 3, 3, fmax=60)
         try:
-            state = nc.solve_lp(p, [a.cost for a in p.arcs])
+            state = nc.solve_lp(p, p.cost.tolist())
         except nc.Infeasible:
             continue
         before = nc.fc_objective(p, state.real_flows())
@@ -613,7 +673,7 @@ def test_pivot_degenerate_changes_tree_not_flows():
     for _ in range(40):
         p = random_transport(rng, 3, 3)
         try:
-            state = nc.solve_lp(p, [a.cost for a in p.arcs])
+            state = nc.solve_lp(p, p.cost.tolist())
         except nc.Infeasible:
             continue
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
@@ -833,9 +893,9 @@ def test_copy_shares_no_array_or_adjacency_list():
 
 
 @pytest.mark.parametrize("name,node,value", [
-    ("parent", "root", 0), ("pot_work", "root", 0.5),
+    ("parent", "root", 0), ("pot_work", "root", 1),
     ("depth", "leaf", 0), ("parent", "leaf", "grandparent"), ("pred_arc", "leaf", "nonbasic"),
-    ("pot_work", "leaf", "1e-7 max work off"),
+    ("pot_work", "leaf", "one unit off"),
 ])
 def test_valid_basis_checks_tree_labels(name, node, value):
     p = fctp_instance()
@@ -847,9 +907,9 @@ def test_valid_basis_checks_tree_labels(name, node, value):
         value = state.parent[state.parent[leaf]]
     elif value == "nonbasic":
         value = int(np.flatnonzero(~state.basic)[0])
-    elif value == "1e-7 max work off":
-        # a tenth of a 1e-6 * max|work| tolerance, far above float rounding
-        value = state.pot_work[leaf] + 1e-7 * np.max(np.abs(state.work))
+    elif value == "one unit off":
+        # the smallest step of the integer potentials: 1/S of a cost unit
+        value = state.pot_work[leaf] + 1
     getattr(state, name)[i] = value
     with pytest.raises(nc.SimplexStalled):
         state.assert_valid_basis()
@@ -926,8 +986,8 @@ def zero_or_costly_transport(seed):
     holds only zero-cost instance arcs, and a sink that only costly arcs
     reach keeps its flow through the root."""
     p = random_transport(np.random.default_rng(seed), 3, 3)
-    return nc.make_problem(p.supply, [(t, h, 0 if c <= 3 else c * 10**12, f, u)
-                                      for t, h, c, f, u in p.arcs])
+    return nc.NetworkProblem(p.supply, p.tail, p.head, np.where(p.cost <= 3, 0, p.cost * 10**12),
+                             p.fixed, p.cap)
 
 
 def test_feasibility_proof_relabels_when_only_root_costs_change(entry_checked_optimize):
@@ -942,8 +1002,7 @@ def test_feasibility_proof_relabels_when_only_root_costs_change(entry_checked_op
         tree = np.flatnonzero(start.basic[: start.m])
         assert np.all(p.cost[tree] == 0)
         proofs += start.has_artificial_flow() and tree.size > 0
-        feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), [
-            (a.tail, a.head, a.cost, a.capacity) for a in p.arcs])
+        feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply.tolist(), problem_rows(p))
         try:
             state = nc.solve_lp(p, p.cost)
         except nc.Infeasible:
@@ -1050,7 +1109,7 @@ def checked_signs(monkeypatch):
         viol = two_mask_violation(state)
         want = int(np.argmax(viol))
         got = price(state)
-        assert got == (want if viol[want] > nc.PRICE_TOL else -1)
+        assert got == (want if viol[want] > 0 else -1)
         seen["priced"] += 1
         return got
 
@@ -1489,7 +1548,7 @@ def test_sole_source_starts_at_its_artificial_capacity():
 def test_solver_determinism():
     rng = np.random.default_rng(11)
     p = random_transport(rng, 4, 4)
-    costs = [a.cost for a in p.arcs]
+    costs = p.cost.tolist()
     s1 = nc.solve_lp(p, costs)
     s2 = nc.solve_lp(p, costs)
     assert np.array_equal(s1.real_flows(), s2.real_flows())
@@ -1499,7 +1558,7 @@ def test_solver_determinism():
 def test_integrality_preserved_through_pivots():
     rng = np.random.default_rng(21)
     p = random_transport(rng, 4, 3, fmax=40)
-    state = nc.solve_lp(p, [a.cost for a in p.arcs])
+    state = nc.solve_lp(p, p.cost.tolist())
     assert state.flow.dtype == np.int64
     for _ in range(5):
         cand, delta, xoj, ok = nc.evaluate_all_entering(state)
@@ -1516,13 +1575,13 @@ def test_integrality_preserved_through_pivots():
 def test_random_instances_solve_clean(seed, m, n):
     rng = np.random.default_rng(seed)
     p = random_transport(rng, m, n, cap_lo=2, cap_hi=9)
-    rows = [(a.tail, a.head, a.cost, a.capacity) for a in p.arcs]
+    rows = problem_rows(p)
     feasible, ref_cost, _ = min_cost_flow(p.node_count, p.supply, rows)
     try:
-        state = nc.solve_lp(p, [a.cost for a in p.arcs])
+        state = nc.solve_lp(p, p.cost.tolist())
     except nc.Infeasible:
         assert not feasible
         return
     assert feasible
     state.assert_valid_basis()
-    assert int(np.dot(state.real_flows(), [a.cost for a in p.arcs])) == ref_cost
+    assert int(np.dot(state.real_flows(), p.cost.tolist())) == ref_cost

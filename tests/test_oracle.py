@@ -54,10 +54,12 @@ def exhaustive_fc_optimum(problem, m, n):
     caps = [[0] * n for _ in range(m)]
     costs = [[0] * n for _ in range(m)]
     fixes = [[0] * n for _ in range(m)]
-    for a in problem.arcs:
-        caps[a.tail][a.head - m] = a.capacity
-        costs[a.tail][a.head - m] = a.cost
-        fixes[a.tail][a.head - m] = a.fixed
+    for t, h, c, f, u in zip(*(col.tolist() for col in (problem.tail, problem.head,
+                                                           problem.cost, problem.fixed,
+                                                           problem.cap))):
+        caps[t][h - m] = u
+        costs[t][h - m] = c
+        fixes[t][h - m] = f
     best = None
     for table in enumerate_transport_tables(sup, dem, caps):
         val = 0
@@ -260,11 +262,14 @@ def test_oracle_agrees_with_the_index_order_reference_on_random_networks():
 
 
 def test_oracle_margin_covers_an_lp_stopped_within_the_pricing_tolerance():
-    # Free, arc 1 costs 1 - 10^-8 a unit, below arc 0's 1, but the root LP
-    # stops with all 10^8 units on arc 0: that reduced cost is below
-    # PRICE_TOL. Its bound, 10^8, equals the incumbent's value, and only the
-    # margin (PRICE_TOL * 2 * 10^8 = 20) keeps the node; no free arc is
-    # fractional, so it branches on arc 1, whose open child is the optimum.
+    # Free, arc 1's charge spreads to (2^24 - 1) / 2^24 a unit on the grid
+    # of S = 2^24, below arc 0's 1, so the root LP puts all 10^8 units on
+    # arc 1. Rounding the spread down lowers the bound by 10^8 / 2^24, about
+    # 6, below the incumbent's 10^8 - 1, so the node is kept with no free
+    # arc fractional: the branch on a free arc at a bound is reachable
+    # because sum U_j >= S. Its open child on arc 1 is the optimum. (The
+    # name dates from a float simplex, whose pricing tolerance stopped this
+    # LP on arc 0.)
     u = 10**8
     p = nc.make_problem([u, -u], [(0, 1, 1, 0, u), (0, 1, 0, u - 1, u)])
     res = oracle.brute_force_opt(p)
@@ -316,23 +321,21 @@ def test_oracle_never_beats_any_feasible_solution():
     res = oracle.brute_force_opt(p)
     heur = gits.run(p)
     assert res.optimum <= heur.best_value
-    lp = nc.solve_lp(p, [a.cost for a in p.arcs])
-    lp_obj = int(np.dot(lp.real_flows(), [a.cost for a in p.arcs]))
+    lp = nc.solve_lp(p, p.cost.tolist())
+    lp_obj = int(np.dot(lp.real_flows(), p.cost.tolist()))
     assert lp_obj <= res.optimum
 
 
 def test_closing_arcs_never_improves_pattern_value():
     # independent monotonicity route: capacity closure on nested patterns
     p = small_fc_instance(13)
-    costs = [a.cost for a in p.arcs]
-    fc = [j for j, a in enumerate(p.arcs) if a.fixed > 0][:4]
+    costs = p.cost.tolist()
+    fc = np.flatnonzero(p.fixed > 0)[:4].tolist()
 
     def closed_value(closed):
-        arcs = []
-        for j, a in enumerate(p.arcs):
-            cap = 0 if j in closed else a.capacity
-            arcs.append((a.tail, a.head, a.cost, a.fixed, cap))
-        q = nc.make_problem(p.supply, arcs)
+        cap = p.cap.copy()
+        cap[list(closed)] = 0
+        q = nc.NetworkProblem(p.supply, p.tail, p.head, p.cost, p.fixed, cap)
         try:
             s = nc.solve_lp(q, costs)
         except nc.Infeasible:

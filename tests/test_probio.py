@@ -18,8 +18,8 @@ def test_parse_minimal_instance():
     p = probio.parse_fcnf(TWO_NODE)
     assert p.node_count == 2 and p.arc_count == 1
     assert p.supply.tolist() == [5, -5]
-    a = p.arcs[0]
-    assert (a.tail, a.head, a.cost, a.fixed, a.capacity) == (0, 1, 3, 100, 10)
+    assert [col.tolist() for col in (p.tail, p.head, p.cost, p.fixed, p.cap)] == \
+        [[0], [1], [3], [100], [10]]
 
 
 def test_parse_missing_node_line_defaults_to_zero():
@@ -138,8 +138,8 @@ def test_fctp_published_small_shape():
     p = probio.generate_fctp(spec)
     assert p.arc_count == 100
     assert sum(b for b in p.supply if b > 0) == 10000
-    assert all(3 <= a.cost <= 8 for a in p.arcs)
-    assert all(50 <= a.fixed <= 200 for a in p.arcs)
+    assert np.all((3 <= p.cost) & (p.cost <= 8))
+    assert np.all((50 <= p.fixed) & (p.fixed <= 200))
 
 
 def test_fctp_published_large_shape():
@@ -147,7 +147,7 @@ def test_fctp_published_large_shape():
                            fc_range=(6400, 25600), seed=1)
     p = probio.generate_fctp(spec)
     assert p.arc_count == 5000
-    assert all(6400 <= a.fixed <= 25600 for a in p.arcs)
+    assert np.all((6400 <= p.fixed) & (p.fixed <= 25600))
 
 
 def test_fctp_deterministic_in_seed():
@@ -160,16 +160,15 @@ def test_fctp_deterministic_in_seed():
 def test_fctp_fc_count_limits_charged_arcs():
     spec = probio.FctpSpec(sources=5, sinks=5, total_supply=100, fc_count=12, seed=3)
     p = probio.generate_fctp(spec)
-    assert sum(1 for a in p.arcs if a.fixed > 0) == 12
+    assert np.count_nonzero(p.fixed > 0) == 12
 
 
 def test_fctp_capacities_are_tight_transport_bounds():
     spec = probio.FctpSpec(sources=3, sinks=3, total_supply=60, seed=5)
     p = probio.generate_fctp(spec)
     sup = p.supply[:3]
-    dem = [-b for b in p.supply[3:]]
-    for a in p.arcs:
-        assert a.capacity == min(sup[a.tail], dem[a.head - 3])
+    dem = -p.supply[3:]
+    assert np.array_equal(p.cap, np.minimum(sup[p.tail], dem[p.head - 3]))
 
 
 def test_fctp_rejects_undersized_supply():
@@ -191,9 +190,9 @@ def test_partition_exact_and_positive(seed, k, total):
 
 def weakly_connected(problem):
     adj = [[] for _ in range(problem.node_count)]
-    for a in problem.arcs:
-        adj[a.tail].append(a.head)
-        adj[a.head].append(a.tail)
+    for t, h in zip(problem.tail.tolist(), problem.head.tolist()):
+        adj[t].append(h)
+        adj[h].append(t)
     seen = {0}
     stack = [0]
     while stack:
@@ -214,9 +213,9 @@ def test_netgen_published_row_dimensions():
     assert sum(b for b in p.supply if b > 0) == 100000
     assert sum(1 for b in p.supply if b > 0) == 150
     assert sum(1 for b in p.supply if b < 0) == 350
-    assert all(20 <= a.fixed <= 200 for a in p.arcs)
-    assert all(200 <= a.capacity <= 1500 for a in p.arcs)
-    assert all(3 <= a.cost <= 8 for a in p.arcs)
+    assert np.all((20 <= p.fixed) & (p.fixed <= 200))
+    assert np.all((200 <= p.cap) & (p.cap <= 1500))
+    assert np.all((3 <= p.cost) & (p.cost <= 8))
 
 
 def test_netgen_transshipment_row_dimensions():
@@ -227,14 +226,14 @@ def test_netgen_transshipment_row_dimensions():
     assert p.node_count == 1000 and p.arc_count == 50000
     mids = sum(1 for b in p.supply if b == 0)
     assert mids == 600
-    assert all(1600 <= a.fixed <= 6400 for a in p.arcs)
+    assert np.all((1600 <= p.fixed) & (p.fixed <= 6400))
 
 
 def test_netgen_no_duplicate_arcs_and_connected():
     spec = probio.NetgenFcSpec(nodes=40, source_count=10, sink_count=12,
                                arc_count=300, total_supply=2000, seed=5)
     p = probio.generate_netgen_fc(spec)
-    pairs = {(a.tail, a.head) for a in p.arcs}
+    pairs = set(zip(p.tail.tolist(), p.head.tolist()))
     assert len(pairs) == p.arc_count
     assert weakly_connected(p)
 
@@ -245,7 +244,7 @@ def test_netgen_instances_are_lp_feasible():
                                    arc_count=90, total_supply=1200,
                                    cap_range=(100, 400), seed=seed)
         p = probio.generate_netgen_fc(spec)
-        state = nc.solve_lp(p, [a.cost for a in p.arcs])
+        state = nc.solve_lp(p, p.cost.tolist())
         state.assert_valid_basis()
 
 
