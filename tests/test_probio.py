@@ -52,13 +52,13 @@ def test_parse_rejects_values_outside_int64(lines, error):
 
 def test_parse_rejects_arc_count_mismatch():
     text = "p fcnf 2 2\nn 1 5\nn 2 -5\na 1 2 0 10 3 100\n"
-    with pytest.raises(probio.CountMismatch):
+    with pytest.raises(probio.CountMismatch, match="^line 4: declared 2 arcs, found 1$"):
         probio.parse_fcnf(text)
 
 
 def test_parse_rejects_duplicate_node_line():
     text = "p fcnf 2 1\nn 1 5\nn 1 -5\na 1 2 0 10 3 100\n"
-    with pytest.raises(probio.DuplicateNodeLine):
+    with pytest.raises(probio.DuplicateNodeLine, match="^line 3: node 1 given twice$"):
         probio.parse_fcnf(text)
 
 
@@ -66,37 +66,40 @@ def test_parse_rejects_nonzero_lower_bound():
     text = "p fcnf 2 1\nn 1 5\nn 2 -5\na 1 2 1 10 3 100\n"
     with pytest.raises(probio.FcnfSyntaxError) as err:
         probio.parse_fcnf(text)
-    assert err.value.line == 4
+    assert err.value.line == 4 and str(err.value) == "line 4: lower bound must be 0"
 
 
-@pytest.mark.parametrize("text,line", [
-    ("p fcnf 2 0\np fcnf 2 0\n", 2),
-    ("c shape\np fcnf 2\n", 2),
-    ("p min 2 0\n", 1),
-    ("p fcnf two 0\n", 1),
-    ("p fcnf 0 0\n", 1),
-    ("c first\nn 1 5\np fcnf 2 0\n", 2),
-    ("p fcnf 2 0\nn 1\n", 2),
-    ("p fcnf 2 0\nn 1 five\n", 2),
-    ("p fcnf 2 0\n\nn 3 5\n", 3),
-    ("p fcnf 2 1\na 1 2 0 10 3\n", 2),
-    ("p fcnf 2 1\na 1 2 0 10 3 1.5\n", 2),
-    ("c only\n\nc comments\n", 3),
+@pytest.mark.parametrize("text,line,message", [
+    ("p fcnf 2 0\np fcnf 2 0\n", 2, "duplicate problem line"),
+    ("c shape\np fcnf 2\n", 2, "expected 'p fcnf <nodes> <arcs>'"),
+    ("p min 2 0\n", 1, "expected 'p fcnf <nodes> <arcs>'"),
+    ("p fcnf two 0\n", 1, "node/arc counts must be integers"),
+    ("p fcnf 0 0\n", 1, "counts out of range"),
+    ("c first\nn 1 5\np fcnf 2 0\n", 2, "problem line must precede node and arc lines"),
+    ("c first\na 1 2 0 10 3 100\np fcnf 2 1\n", 2,
+     "problem line must precede node and arc lines"),
+    ("p fcnf 2 0\nn 1\n", 2, "expected 'n <node_id> <supply>'"),
+    ("p fcnf 2 0\nn 1 five\n", 2, "node id and supply must be integers"),
+    ("p fcnf 2 0\n\nn 3 5\n", 3, "node id 3 out of range 1..2"),
+    ("p fcnf 2 1\na 1 2 0 10 3\n", 2,
+     "expected 'a <tail> <head> <lower> <cap> <cost> <fixed>'"),
+    ("p fcnf 2 1\na 1 2 0 10 3 1.5\n", 2, "arc fields must be integers"),
+    ("c only\n\nc comments\n", 3, "missing problem line"),
 ], ids=["duplicate-p", "short-p", "not-fcnf", "non-integer-count", "count-out-of-range",
-        "record-before-p", "short-n", "non-integer-n", "node-out-of-range", "short-a",
-        "non-integer-a", "missing-p"])
-def test_parse_syntax_errors_name_their_line(tmp_path, text, line):
+        "record-before-p", "arc-before-p", "short-n", "non-integer-n", "node-out-of-range",
+        "short-a", "non-integer-a", "missing-p"])
+def test_parse_syntax_errors_name_their_line(tmp_path, text, line, message):
     with pytest.raises(probio.FcnfSyntaxError) as err:
         probio.parse_fcnf(text)
     assert type(err.value) is probio.FcnfSyntaxError
-    assert err.value.line == line and str(err.value).startswith(f"line {line}: ")
+    assert err.value.line == line and str(err.value) == f"line {line}: {message}"
     path = tmp_path / "bad.fcnf"
     path.write_text(text)
     assert bench.main(["solve", str(path)]) == 2
 
 
 def test_parse_rejects_garbage_record():
-    with pytest.raises(probio.FcnfSyntaxError):
+    with pytest.raises(probio.FcnfSyntaxError, match="^line 2: unknown record type 'q'$"):
         probio.parse_fcnf("p fcnf 1 0\nq nonsense\n")
 
 
