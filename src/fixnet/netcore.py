@@ -181,16 +181,16 @@ def validate(problem: NetworkProblem) -> NetworkProblem:
     """Check model invariants; returns the problem unchanged when sound.
 
     The last checks are the exact-integer range contract: B = sum |c_j| U_j +
-    sum F_j must stay below 2^62, else `OutOfExactRange`. Once `solve_lp`
-    has capped the root arcs, every objective, and every objective delta of
-    a pivot with a positive flow change d, is at most B in magnitude: d is
-    at most the capacity of each arc on its cycle, so the linear term is at
-    most sum |c_j| U_j, and the charges gained or released are at most
-    sum F_j. The sweep's int64 deltas, charge sums and objective deltas
-    therefore stay below 2^63. Its root-path cost sums may wrap (an arc of
-    capacity 0 adds nothing to B), but int64 arithmetic is exact modulo
-    2^64, so their difference times the delta is exact because its true
-    value is in range. The search subtracts one objective from another,
+    sum F_j (`_objective_bound`) must stay below 2^62, else `OutOfExactRange`.
+    Once `solve_lp` has capped the root arcs, every objective, and every
+    objective delta of a pivot with a positive flow change d, is at most B
+    in magnitude: d is at most the capacity of each arc on its cycle, so the
+    linear term is at most sum |c_j| U_j, and the charges gained or released
+    are at most sum F_j. The sweep's int64 deltas, charge sums and objective
+    deltas therefore stay below 2^63. Its root-path cost sums may wrap (an
+    arc of capacity 0 adds nothing to B), but int64 arithmetic is exact
+    modulo 2^64, so their difference times the delta is exact because its
+    true value is in range. The search subtracts one objective from another,
     which stays below 2 B < 2^63. A working-cost scale must also exist at
     BIGM_CAP, the largest big-M (`working_scale`).
     """
@@ -211,26 +211,31 @@ def validate(problem: NetworkProblem) -> NetworkProblem:
         bad = np.flatnonzero(col < 0)
         if bad.size:
             raise NegativeCapacityOrCharge(f"arc {bad[0]}: {what} {col[bad[0]]}")
-    # A float64 sum of these non-negative terms is off by a relative (arcs
-    # + 1) * 2^-53 at most, so below 2^61 it proves B < 2^62 without the
-    # exact sum, which takes 35 times as long on 5,000 arcs.
-    cost = np.abs(problem.cost.astype(np.float64))
-    if cost @ problem.cap + problem.fixed.sum(dtype=np.float64) >= 2.0**61:
-        bound = _objective_bound(problem)
-        if bound >= 2**62:
-            raise OutOfExactRange(f"sum |c_j| U_j + sum F_j = {bound} reaches 2^62")
+    bound = _objective_bound(problem)
+    if bound >= 2**62:
+        raise OutOfExactRange(f"sum |c_j| U_j + sum F_j = {bound} reaches 2^62")
     working_scale(problem, BIGM_CAP)
     return problem
 
 
 def _objective_bound(problem: NetworkProblem) -> int:
-    """B = sum |c_j| U_j + sum F_j in exact integers."""
-    total = sum(abs(c) * u for c, u in zip(problem.cost.tolist(), problem.cap.tolist()))
-    return total + sum(problem.fixed.tolist())
+    """B = sum |c_j| U_j + sum F_j, exact, for an instance whose capacities
+    and fixed charges are non-negative (`validate` checks them first).
+
+    A float64 sum of these non-negative terms is off by a relative (arcs +
+    1) * 2^-53 at most, so below 2^61 it proves B < 2^62. Then the int64 sum
+    is exact, since every partial sum is at most B; a cost of -2^63, which
+    int64 `abs` leaves negative, fails the screen on an arc of positive
+    capacity. Otherwise B is summed in Python ints.
+    """
+    cost, cap, fixed = problem.cost, problem.cap, problem.fixed
+    if np.abs(cost.astype(np.float64)) @ cap + fixed.sum(dtype=np.float64) < 2.0**61:
+        return int(np.abs(cost) @ cap + fixed.sum())
+    return sum(abs(c) * u for c, u in zip(cost.tolist(), cap.tolist())) + sum(fixed.tolist())
 
 
 def default_bigm(problem: NetworkProblem) -> int:
-    """Instance cost dominator: 2 B (see `validate`), floored and capped."""
+    """Instance cost dominator: 2 B (`_objective_bound`), floored and capped."""
     return int(min(max(2 * _objective_bound(problem), BIGM_FLOOR), BIGM_CAP))
 
 
@@ -383,10 +388,11 @@ class SimplexState:
         1/(2S). A cost that is not finite or exceeds T = `max_cost` in
         magnitude raises ValueError. Potentials read only the tree arcs'
         costs, so the labels are rebuilt only when a tree arc's cost changes."""
-        c = np.asarray(costs, dtype=np.float64)
+        c = np.asarray(costs)  # integers are range-tested before float64 could round them
+        c = c if c.dtype.kind in "iu" else np.asarray(costs, dtype=np.float64)
         if c.shape != (self.m,):
             raise ValueError(f"cost vector has shape {c.shape}, expected ({self.m},)")
-        if not (np.abs(c) <= self.max_cost).all():
+        if not ((c >= -self.max_cost) & (c <= self.max_cost)).all():
             raise ValueError(f"costs must be finite and at most {self.max_cost} in magnitude")
         w = np.rint(c * self.scale).astype(np.int64)
         work, basic, m = self.work, self.basic, self.m

@@ -114,6 +114,32 @@ def test_an_objective_bound_just_under_2_62_solves(supply, best):
     assert report.feasible and report.objective == res.best_value == best
 
 
+def signed_cost_problem(seed):
+    """Arcs with costs of either sign, some capacities 0, and magnitudes
+    that put 2 B below BIGM_FLOOR, between the bounds or above BIGM_CAP."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    c, u, f = (10 ** rng.integers(0, k) for k in (9, 7, 5))
+    cap = rng.integers(0, u + 1, size=m) * (rng.random(m) < 0.7)
+    return nc.NetworkProblem([0, 0, 0], rng.integers(0, 3, size=m), rng.integers(0, 3, size=m),
+                             rng.integers(-c, c + 1, size=m), rng.integers(0, f + 1, size=m), cap)
+
+
+@pytest.mark.parametrize("problem", [signed_cost_problem(seed) for seed in range(12)] + [
+    objective_bound_problem(BOUND_CAP, BOUND_CAP - 1),
+    objective_bound_problem(2 * BOUND_CAP, BOUND_CAP - 1),
+    objective_bound_problem(BOUND_CAP, BOUND_CAP),
+    nc.make_problem([1, -1], [(0, 1, -2**63, 5, 0), (0, 1, 3, 0, 7)]),
+    nc.make_problem([1, -1], [(0, 1, -2**63, 5, 1), (0, 1, 3, 0, 7)]),
+], ids=[f"random-{seed}" for seed in range(12)] + [
+    "2^62-1", "2^62-1-supply", "2^62", "min-int64-cap-0", "min-int64-cap-1"])
+def test_default_bigm_doubles_the_exact_objective_bound(problem):
+    bound = sum(abs(c) * u for c, u in zip(problem.cost.tolist(), problem.cap.tolist()))
+    bound += sum(problem.fixed.tolist())
+    assert nc._objective_bound(problem) == bound
+    assert nc.default_bigm(problem) == min(max(2 * bound, nc.BIGM_FLOOR), nc.BIGM_CAP)
+
+
 def scale_bound_problem(cost, nodes=2):
     """One unit from node 0 to node 1 over one arc of unit cost `cost`, plus
     nodes without supply or arcs."""
@@ -432,6 +458,20 @@ def test_set_costs_rejects_a_wrong_shape_or_a_non_finite_cost(costs, match):
     with pytest.raises(ValueError, match=match):
         state.set_costs(costs)
     assert np.array_equal(state.work, before)
+
+
+@pytest.mark.parametrize("costs", [
+    [2**53 + 1], [-(2**53 + 1)], np.array([2**53 + 1], dtype=np.uint64),
+], ids=["above", "below", "uint64"])
+def test_set_costs_range_tests_an_integer_cost_exactly(costs):
+    # at T = 2^53 a float64 conversion would round 2^53 + 1 into range
+    state = nc.SimplexState(scale_bound_problem(2**53 - nc.BIGM_CAP), [0])
+    assert (state.scale, state.max_cost) == (1, 2**53)
+    with pytest.raises(ValueError, match="at most"):
+        state.set_costs(costs)
+    for cost in (2**53, -(2**53)):
+        state.set_costs([cost])
+        assert state.work[:1].tolist() == [cost]
 
 
 def test_evaluate_matches_pivot_recompute_everywhere():
