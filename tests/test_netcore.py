@@ -126,13 +126,14 @@ def signed_cost_problem(seed):
 
 
 @pytest.mark.parametrize("problem", [signed_cost_problem(seed) for seed in range(12)] + [
+    nc.make_problem([1, -1], [(0, 1, 1, 0, BOUND_CAP),
+                              (0, 1, 2**41 - 2, BOUND_CAP - 1, BOUND_CAP)]),
     objective_bound_problem(BOUND_CAP, BOUND_CAP - 1),
-    objective_bound_problem(2 * BOUND_CAP, BOUND_CAP - 1),
     objective_bound_problem(BOUND_CAP, BOUND_CAP),
     nc.make_problem([1, -1], [(0, 1, -2**63, 5, 0), (0, 1, 3, 0, 7)]),
     nc.make_problem([1, -1], [(0, 1, -2**63, 5, 1), (0, 1, 3, 0, 7)]),
 ], ids=[f"random-{seed}" for seed in range(12)] + [
-    "2^62-1", "2^62-1-supply", "2^62", "min-int64-cap-0", "min-int64-cap-1"])
+    "2^61-1", "2^62-1", "2^62", "min-int64-cap-0", "min-int64-cap-1"])
 def test_default_bigm_doubles_the_exact_objective_bound(problem):
     bound = sum(abs(c) * u for c, u in zip(problem.cost.tolist(), problem.cap.tolist()))
     bound += sum(problem.fixed.tolist())
