@@ -83,7 +83,8 @@ class SimplexStalled(FixnetError):
 
 
 class OutOfExactRange(FixnetError, ValueError):
-    """Costs, charges and capacities whose objective bound reaches 2^62."""
+    """An instance outside the exact-integer range contract: a supply beyond
+    int64, an objective bound of 2^62 or more, or no working-cost scale."""
 
 
 class ArcData(NamedTuple):
@@ -120,7 +121,7 @@ def _int64_column(values, name: str, owner: str, error) -> np.ndarray:
 # NetworkProblem columns: field, what it is indexed by, error raised for
 # entries that are not integers inside the int64 range.
 _COLUMNS = (
-    ("supply", "node", ValueError),
+    ("supply", "node", OutOfExactRange),
     ("tail", "arc", BadArcEndpoint),
     ("head", "arc", BadArcEndpoint),
     ("cost", "arc", NegativeCapacityOrCharge),
@@ -201,7 +202,7 @@ def validate(problem: NetworkProblem) -> NetworkProblem:
     if total != 0:
         raise UnbalancedSupply(f"supplies sum to {total}, expected 0")
     if sum(problem.supply[problem.supply > 0].tolist()) > _INT64_MAX:
-        raise ValueError("total supply exceeds the int64 range")
+        raise OutOfExactRange("total supply exceeds the int64 range")
     t, h = problem.tail, problem.head
     bad = np.flatnonzero((t < 0) | (t >= n) | (h < 0) | (h >= n) | (t == h))
     if bad.size:
@@ -242,14 +243,21 @@ def default_bigm(problem: NetworkProblem) -> int:
 def working_scale(problem: NetworkProblem, bigm: int) -> Tuple[int, int]:
     """(S, T) under big-M `bigm`: T = max |c_j| + bigm bounds every working
     cost (c_j plus a penalty of at most BigM, BigM, or 1 in phase 1), and S
-    is the largest power of two with S T <= 2^53, so S c is exact in float64,
-    and (n + 2) S T < 2^62, so potentials (sums of at most n working costs)
-    and reduced costs fit in int64. Raises `OutOfExactRange` if S < 1."""
+    = `scale_for(n, T)`."""
     t = max(-int(problem.cost.min(initial=0)), int(problem.cost.max(initial=0))) + bigm
-    k = min(2**53 // t, (2**62 - 1) // ((problem.node_count + 2) * t)).bit_length() - 1
+    return scale_for(problem.node_count, t), t
+
+
+def scale_for(node_count: int, t: int) -> int:
+    """The largest power of two S with S T <= 2^53, so S c is exact in
+    float64, and (n + 2) S T < 2^62, so potentials (sums of at most n working
+    costs) and reduced costs fit in int64. Raises `OutOfExactRange` if S < 1,
+    which at T = BIGM_CAP, the least T `validate` tests, refuses every
+    instance of more than 4,611,684 nodes."""
+    k = min(2**53 // t, (2**62 - 1) // ((node_count + 2) * t)).bit_length() - 1
     if k < 0:
-        raise OutOfExactRange(f"no working-cost scale for T = {t}, n = {problem.node_count}")
-    return 1 << k, t
+        raise OutOfExactRange(f"no working-cost scale for T = {t}, n = {node_count}")
+    return 1 << k
 
 
 def check_flows(problem: NetworkProblem, flows) -> Tuple[List[str], Optional[int]]:
@@ -347,7 +355,7 @@ class SimplexState:
         self.basic = np.zeros(self.E, dtype=bool)
         self.basic[m:] = True
         self.base_cost = np.concatenate([problem.cost, np.full(n, self.bigm, dtype=np.int64)])
-        # Working costs in units of 1/S; installing BigM on the tree labels it.
+        # Working costs in units of 1/S.
         self.work = np.zeros(self.E, dtype=np.int64)
         # What pricing multiplies a reduced cost by: -1 at flow 0 (pushed up),
         # +1 at capacity (pushed down), 0 on tree arcs and arcs of capacity 0.
@@ -386,25 +394,19 @@ class SimplexState:
         working costs goes through here. A cost c is stored as round(S c):
         exactly when it is on the grid 1/S, integers included, else within
         1/(2S). A cost that is not finite or exceeds T = `max_cost` in
-        magnitude raises ValueError. Potentials read only the tree arcs'
-        costs, so the labels are rebuilt only when a tree arc's cost changes."""
+        magnitude raises ValueError. The labels are then rebuilt from the
+        tree (`_rebuild`)."""
         c = np.asarray(costs)  # integers are range-tested before float64 could round them
         c = c if c.dtype.kind in "iu" else np.asarray(costs, dtype=np.float64)
         if c.shape != (self.m,):
             raise ValueError(f"cost vector has shape {c.shape}, expected ({self.m},)")
         if not ((c >= -self.max_cost) & (c <= self.max_cost)).all():
             raise ValueError(f"costs must be finite and at most {self.max_cost} in magnitude")
-        w = np.rint(c * self.scale).astype(np.int64)
-        work, basic, m = self.work, self.basic, self.m
-        stale = (basic[:m] & (w != work[:m])).any()
-        work[:m] = w
+        self.work[: self.m] = np.rint(c * self.scale)
         if root_cost is not None:
-            root_cost *= self.scale
-            stale |= (basic[m:] & (work[m:] != root_cost)).any()
-            work[m:] = root_cost
-        self.work_list = work.tolist()
-        if stale:
-            self._rebuild()
+            self.work[self.m:] = root_cost * self.scale
+        self.work_list = self.work.tolist()
+        self._rebuild()
 
     def _rebuild(self) -> None:
         """Recompute labels, depths and working potentials from the tree arcs."""

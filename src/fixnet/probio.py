@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .netcore import FixnetError, NetworkProblem, validate
+from .netcore import BIGM_CAP, FixnetError, NetworkProblem, scale_for, validate
 
 
 class FcnfSyntaxError(FixnetError, ValueError):
@@ -55,7 +55,9 @@ def parse_fcnf(text: str) -> NetworkProblem:
 
     Arc lines append their fields straight to the tail, head, cost, fixed
     and capacity columns the instance is built from. Values outside the
-    int64 range pass the parse and are refused by `NetworkProblem`.
+    int64 range pass the parse and are refused by `NetworkProblem`. A node
+    count with no working-cost scale at T = BIGM_CAP, which `validate`
+    would refuse, raises `OutOfExactRange` before the supply column is built.
     """
     node_count = arc_count = None
     supplies = {}
@@ -88,6 +90,7 @@ def parse_fcnf(text: str) -> NetworkProblem:
             node_count, arc_count = _ints(tok[2:], ln, "node/arc counts must be integers")
             if node_count < 1 or arc_count < 0:
                 raise FcnfSyntaxError(ln, "counts out of range")
+            scale_for(node_count, BIGM_CAP)
         elif node_count is None:
             raise FcnfSyntaxError(ln, "problem line must precede node and arc lines")
         elif kind == "n":

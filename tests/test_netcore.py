@@ -1001,7 +1001,7 @@ def test_relabel_of_a_basis_that_does_not_span_is_refused():
         bad._rebuild()
 
 
-# -- labels kept through cost changes ----------------------------------------------
+# -- labels through cost changes ----------------------------------------------------
 
 
 @pytest.fixture
@@ -1055,7 +1055,7 @@ def test_feasibility_proof_relabels_when_only_root_costs_change(entry_checked_op
     assert proofs >= 3
 
 
-def test_oracle_enumeration_keeps_valid_labels(monkeypatch, entry_checked_optimize):
+def test_oracle_branch_and_bound_keeps_valid_labels(monkeypatch, entry_checked_optimize):
     # every optimize is the cold solve's or one warm re-solve's: the root
     # node is solved cold, every later node warm from the previous basis
     p = probio.generate_fctp(probio.FctpSpec(4, 4, total_supply=400, fc_count=12, seed=9000))
@@ -1080,9 +1080,9 @@ def test_oracle_enumeration_keeps_valid_labels(monkeypatch, entry_checked_optimi
 
 
 @pytest.mark.parametrize("make", [fctp_instance, netgen_instance], ids=["fctp", "netgen"])
-def test_cost_changes_keep_labels_equal_to_a_rebuild(monkeypatch, make):
-    # fractional changes as penalties make them; a change confined to
-    # nonbasic arcs keeps the labels, one on a tree arc rebuilds them
+def test_every_cost_install_relabels_once(monkeypatch, make):
+    # fractional changes as penalties make them, on nonbasic and on tree
+    # arcs alike: each install relabels the whole tree exactly once
     p = make()
     state = nc.solve_lp(p, p.cost)
     rebuilds = []
@@ -1100,7 +1100,7 @@ def test_cost_changes_keep_labels_equal_to_a_rebuild(monkeypatch, make):
         before = len(rebuilds)
         root_cost = float(state.bigm) if trial % 4 == 0 else None
         state.set_costs(costs, root_cost)
-        assert len(rebuilds) - before == on_tree
+        assert len(rebuilds) - before == 1
         full = scrambled_rebuild(state)
         for name in LABELS:
             assert np.array_equal(getattr(state, name), getattr(full, name)), name

@@ -1,8 +1,11 @@
+import contextlib
+import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixnet import netcore as nc
@@ -101,6 +104,109 @@ def test_parse_syntax_errors_name_their_line(tmp_path, text, line, message):
 def test_parse_rejects_garbage_record():
     with pytest.raises(probio.FcnfSyntaxError, match="^line 2: unknown record type 'q'$"):
         probio.parse_fcnf("p fcnf 1 0\nq nonsense\n")
+
+
+def test_parse_refuses_a_node_count_beyond_the_range_contract_before_allocating(tmp_path):
+    # a supply column of 5 million nodes would take over 40 MiB
+    text = "p fcnf 5000000 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(nc.FixnetError, match="no working-cost scale"):
+            probio.parse_fcnf(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    path = tmp_path / "huge.fcnf"
+    path.write_text(text)
+    assert bench.main(["solve", str(path)]) == 2
+
+
+def test_the_parse_refuses_no_node_count_that_validate_accepts():
+    # validate needs a working-cost scale at T = max |c_j| + BIGM_CAP, the
+    # parse at T = BIGM_CAP, and a larger T allows no more nodes; without
+    # arcs the two tests are one, and 4,611,684 nodes is the largest count
+    assert nc.scale_for(4_611_684, nc.BIGM_CAP) == 1
+    with pytest.raises(nc.OutOfExactRange):
+        nc.scale_for(4_611_685, nc.BIGM_CAP)
+    arcless = nc.make_problem([0] * 3, [])
+    assert nc.working_scale(arcless, nc.BIGM_CAP) == (nc.scale_for(3, nc.BIGM_CAP), nc.BIGM_CAP)
+    for nodes in (2, 100, 10**4, 4_611_684):
+        for t in (nc.BIGM_CAP, 2**40, 2**53 // (nodes + 2), 2**53):
+            try:
+                nc.scale_for(nodes, max(t, nc.BIGM_CAP))
+            except nc.OutOfExactRange:
+                continue
+            assert nc.scale_for(nodes, nc.BIGM_CAP) >= 1
+
+
+@pytest.mark.parametrize("nodes", [2, 509])
+def test_parse_accepts_the_largest_node_count_at_the_largest_cost(nodes):
+    # at T = 2^53, the largest T validate accepts, 509 nodes is the most
+    cost = 2**53 - nc.BIGM_CAP
+    p = probio.parse_fcnf(f"p fcnf {nodes} 1\nn 1 1\nn 2 -1\na 1 2 0 1 {cost} 0\n")
+    assert p.node_count == nodes and p.cost.tolist() == [cost]
+    with pytest.raises(nc.OutOfExactRange, match="no working-cost scale"):
+        probio.parse_fcnf(f"p fcnf 510 1\nn 1 1\nn 2 -1\na 1 2 0 1 {cost} 0\n")
+
+
+# A small instance for the fuzz gate, and what its edits insert: integers the
+# parser's int() reads (signs, underscores, non-ASCII digits), values beyond
+# int64 and beyond the node-count bound, record letters and separators.
+FUZZ_BASE = ("c fuzz\np fcnf 4 4\nn 1 6\nn 4 -6\na 1 2 0 6 2 10\na 2 4 0 6 -1 7\n"
+             "a 1 3 0 3 5 0\na 3 4 0 3 1 4\n")
+FUZZ_PIECES = ("0", "1", "7", "-1", "+2", "1_0", "\u0665", "9223372036854775808",
+               "99999999999999999999", "4611685", "1.5", "1e3", " ", "\t", "\n", "a", "n",
+               "p", "c", "q", "fcnf", "-")
+FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "token", "line"]),
+                                st.integers(0, 10**6), st.sampled_from(FUZZ_PIECES)),
+                      min_size=1, max_size=5)
+
+
+def mutate(text, edits):
+    """Apply each edit: insert a piece at a character, delete a character,
+    replace a whitespace-separated token with a piece, or drop or repeat a
+    line."""
+    for op, pos, piece in edits:
+        if op == "insert":
+            at = pos % (len(text) + 1)
+            text = text[:at] + piece + text[at:]
+        elif op == "delete" and text:
+            at = pos % len(text)
+            text = text[:at] + text[at + 1:]
+        elif op == "token":
+            tokens = text.split(" ")
+            tokens[pos % len(tokens)] = piece
+            text = " ".join(tokens)
+        elif op == "line":
+            lines = text.split("\n")
+            at = pos % len(lines)
+            lines[at:at + 1] = [lines[at]] * (pos // len(lines) % 3)
+            text = "\n".join(lines)
+    return text
+
+
+def test_mutated_fcnf_texts_parse_or_raise_a_fixnet_error(tmp_path):
+    # The CLI solves only instances of at most 50 nodes, so that an edit
+    # that grows the node count costs no search over millions of nodes.
+    path, out = tmp_path / "fuzz.fcnf", tmp_path / "rec.csv"
+
+    @settings(max_examples=200, deadline=None)
+    @given(FUZZ_EDITS)
+    @example([("insert", 2999, "9223372036854775808")])  # a supply beyond int64
+    @example([("token", 3, "4611685")])  # a node count beyond the range contract
+    def check(edits):
+        text = mutate(FUZZ_BASE, edits)
+        try:
+            p = probio.parse_fcnf(text)
+        except nc.FixnetError:
+            p = None
+        if p is None or p.node_count <= 50:
+            path.write_text(text)
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert bench.main(["solve", str(path), "--output", str(out)]) in (0, 2, 3)
+
+    check()
 
 
 # -- write_fcnf -------------------------------------------------------------------
